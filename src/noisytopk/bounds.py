@@ -629,6 +629,7 @@ def bound_report(
             "lambda1": pair.lambda1,
             "lambda2": pair.lambda2,
             "converged": pair.converged,
+            "residual": pair.residual,
             "degenerate": pair.degenerate,
             "disconnected": pair.disconnected,
             "b1": eb.b1,

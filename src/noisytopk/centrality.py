@@ -1,12 +1,10 @@
 """Centrality scores, top-k extraction, and set-overlap metrics.
 
 Degree scores are exact integer counts cast to float.  Eigenvector
-centrality comes from power iteration: the leading pair is computed on
-the shifted matrix A + I so that bipartite spectra (lambda_min equal to
--lambda_1, e.g. trees) cannot make the iteration oscillate, and the
-second eigenvalue uses a deflated shift A + lambda1 I - 2 lambda1 x x^T
-whose dominant eigenvalue is lambda1 + lambda2 >= 0, so the algebraic
-second eigenvalue is recovered rather than the most negative one.
+centrality comes from one ARPACK Lanczos solve (scipy's eigsh) for the
+algebraically largest eigenvalues, so bipartite spectra (lambda_min equal
+to -lambda_1, e.g. trees) need no shift and the second eigenvalue is the
+algebraic one rather than the most negative.
 """
 
 from __future__ import annotations
@@ -15,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse.csgraph import connected_components
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .graphs import Graph
 
@@ -30,8 +29,8 @@ __all__ = [
     "jaccard",
 ]
 
-# entries of a converged Perron vector may dip below zero by roundoff;
-# anything in [-CLAMP, 0) is snapped to zero, anything lower is an error
+# eigenvector scores supplied from outside may dip below zero by roundoff;
+# anything below -CLAMP is an error
 NEGATIVE_CLAMP = 1e-9
 
 
@@ -101,23 +100,52 @@ def degree_scores(g: Graph) -> ScoreVector:
     return ScoreVector(g.degree_array().astype(np.float64), "degree")
 
 
-def _power_leading(matvec, n: int, v0: np.ndarray, tol: float, max_iter: int):
-    """Power iteration for a matrix with nonnegative spectrum shift applied by caller."""
-    v = v0 / np.linalg.norm(v0)
-    its = 0
-    diff = np.inf
-    for its in range(1, max_iter + 1):
-        w = matvec(v)
-        norm = float(np.linalg.norm(w))
-        if norm <= 1e-300:
-            # operator annihilates the iterate; caller interprets
-            return v, its, 0.0, True
-        w /= norm
-        diff = float(np.linalg.norm(w - v))
-        v = w
-        if diff <= tol:
-            return v, its, diff, True
-    return v, its, diff, False
+def _top_eigenpairs(adj, k: int, tol: float, max_iter: int):
+    """Top-k algebraic adjacency eigenvalues and a nonnegative leading eigenvector.
+
+    One ARPACK Lanczos call (eigsh, which='LA') from a fixed-seed start
+    vector; a dense solve covers the sizes ARPACK cannot take (n <= k+1).
+    The leading vector is returned as |x| / ||x||: for a nonnegative
+    symmetric matrix |x| is a lambda1-eigenvector whenever x is, which
+    fixes the sign and, when lambda1 is repeated across components, turns
+    Lanczos's mixed-sign vector into a valid Perron vector.
+
+    Returns (vals, x, converged, matvecs, residual): vals descending,
+    residual the largest ||A v - lambda v|| over the k pairs.  When ARPACK
+    exhausts its budget, |v0| and its (nonnegative) Rayleigh quotient stand
+    in, with converged False.
+    """
+    n = adj.shape[0]
+    if adj.nnz == 0:
+        # ARPACK rejects the zero operator; every unit vector is an eigenvector
+        return np.zeros(k), np.full(n, 1.0 / np.sqrt(n)), True, 0, 0.0
+    converged = True
+    matvecs = 0
+    if n <= k + 1:
+        vals, vecs = np.linalg.eigh(adj.toarray())
+    else:
+        def matvec(z: np.ndarray) -> np.ndarray:
+            nonlocal matvecs
+            matvecs += 1
+            return adj @ z
+
+        # generic fixed-seed start: symmetric graphs (stars, rings) can leave
+        # the all-ones direction orthogonal to eigenvectors that are wanted
+        v0 = np.random.default_rng(0x9E3779B97F4A7C15).standard_normal(n)
+        op = LinearOperator((n, n), matvec=matvec, dtype=np.float64)
+        try:
+            vals, vecs = eigsh(op, k=k, which="LA", v0=v0, tol=tol, maxiter=max_iter)
+        except ArpackNoConvergence:
+            converged = False
+            x0 = np.abs(v0) / np.linalg.norm(v0)
+            vals, vecs = np.full(k, float(x0 @ (adj @ x0))), np.repeat(x0[:, None], k, axis=1)
+    order = np.argsort(vals)[::-1][:k]
+    vals, vecs = vals[order], vecs[:, order]
+    x = np.abs(vecs[:, 0])
+    x /= np.linalg.norm(x)
+    vecs[:, 0] = x
+    residual = float(np.max(np.linalg.norm(adj @ vecs - vecs * vals, axis=0)))
+    return vals, x, converged, matvecs, residual
 
 
 def leading_eigenvector(
@@ -126,30 +154,14 @@ def leading_eigenvector(
     """Leading eigenvalue and unit eigenvector of the adjacency matrix.
 
     Fast path used by the simulation harness when the second eigenvalue
-    is not needed.  Returns (lambda1, x, converged); x is sign-fixed so
-    its largest-magnitude entry is positive and tiny negative entries are
-    clamped to zero.
+    is not needed.  Returns (lambda1, x, converged); x is nonnegative.
+    tol and max_iter are ARPACK's relative Ritz-value accuracy and
+    restart budget.
     """
-    n = g.n
-    if n < 2:
-        raise ValueError(f"need at least two nodes, got n={n}")
-    if g.num_edges == 0:
-        return 0.0, np.full(n, 1.0 / np.sqrt(n)), True
-    adj = g.adjacency_csr()
-    v0 = np.full(n, 1.0 / np.sqrt(n))
-    # iterate on A + I: spectrum shifted to [1 - lambda1, 1 + lambda1],
-    # strictly dominant at 1 + lambda1, so bipartite graphs converge too
-    v, _, _, ok = _power_leading(lambda z: adj @ z + z, n, v0, tol, max_iter)
-    lam = float(v @ (adj @ v))
-    x = _fix_sign_and_clamp(v)
-    return lam, x, ok
-
-
-def _fix_sign_and_clamp(v: np.ndarray) -> np.ndarray:
-    if v[np.argmax(np.abs(v))] < 0:
-        v = -v
-    v = np.where((v < 0) & (v >= -NEGATIVE_CLAMP), 0.0, v)
-    return v / np.linalg.norm(v)
+    if g.n < 2:
+        raise ValueError(f"need at least two nodes, got n={g.n}")
+    vals, x, converged, _, _ = _top_eigenpairs(g.adjacency_csr(), 1, tol, max_iter)
+    return float(vals[0]), x, converged
 
 
 def spectral_top2(g: Graph, tol: float = 1e-10, max_iter: int = 10000) -> SpectralPair:
@@ -157,77 +169,30 @@ def spectral_top2(g: Graph, tol: float = 1e-10, max_iter: int = 10000) -> Spectr
 
     Args:
         g: graph on at least two nodes.
-        tol: successive-iterate l2 difference at which iteration stops.
-        max_iter: iteration budget per eigenvalue.
+        tol: ARPACK's relative accuracy of the Ritz values.
+        max_iter: ARPACK's budget of Lanczos restarts.
 
     Returns:
-        SpectralPair; converged is False when a budget was exhausted with
-        residual above tol * max(1, lambda1), degenerate is True when the
-        top two eigenvalues agree to 1e-8, and disconnected reports a
-        component diagnostic (not an error).
+        SpectralPair; converged is False when ARPACK exhausted its budget,
+        degenerate is True when the top two eigenvalues agree to 1e-8,
+        disconnected reports a component diagnostic (not an error), and
+        iterations counts matrix-vector products.
     """
     n = g.n
     if n < 2:
         raise ValueError(f"need at least two nodes, got n={n}")
-
     adj = g.adjacency_csr()
     n_comp, _ = connected_components(adj, directed=False)
-    disconnected = bool(n_comp > 1)
-
-    if g.num_edges == 0:
-        x = ScoreVector(np.full(n, 1.0 / np.sqrt(n)), "eigenvector")
-        return SpectralPair(0.0, 0.0, x, True, True, disconnected, 0, 0.0)
-
-    v0 = np.full(n, 1.0 / np.sqrt(n))
-    v, it1, _, ok1 = _power_leading(lambda z: adj @ z + z, n, v0, tol, max_iter)
-    lam1 = float(v @ (adj @ v))
-    res1 = float(np.linalg.norm(adj @ v - lam1 * v))
-    x = _fix_sign_and_clamp(v)
-
-    # second eigenvalue: deflate x out of A + lambda1 I; remaining spectrum
-    # is {lambda_i + lambda1 : i >= 2} union {0}, all nonnegative, with the
-    # algebraic second eigenvalue on top
-    def deflated(z: np.ndarray) -> np.ndarray:
-        z = z - x * (x @ z)
-        w = adj @ z + lam1 * z
-        return w - x * (x @ w)
-
-    # generic fixed-seed start: symmetric graphs (stars, rings) can leave
-    # the all-ones direction orthogonal to the eigenspace of lambda2, so a
-    # deterministic Gaussian vector is used instead
-    w0 = np.random.default_rng(0x9E3779B97F4A7C15).standard_normal(n)
-    w0 -= x * float(x @ w0)
-    if np.linalg.norm(w0) < 1e-8:
-        for basis in range(n):
-            w0 = np.zeros(n)
-            w0[basis] = 1.0
-            w0 -= x * float(x @ w0)
-            if np.linalg.norm(w0) >= 1e-8:
-                break
-    w, it2, _, ok2 = _power_leading(deflated, n, w0, tol, max_iter)
-    w = w - x * float(x @ w)
-    wn = float(np.linalg.norm(w))
-    if wn <= 1e-150:
-        lam2 = -lam1  # deflated operator annihilated everything orthogonal to x
-        res2 = 0.0
-    else:
-        w /= wn
-        lam2 = float(w @ (adj @ w))
-        res2 = float(np.linalg.norm(deflated(w) - (lam2 + lam1) * w))
-    lam2 = min(lam2, lam1)
-
-    residual = max(res1, res2)
-    # non-convergence means a budget ran out and the residual is still large
-    converged = bool((ok1 and ok2) or residual <= tol * max(1.0, abs(lam1)))
-    degenerate = bool(lam1 - lam2 <= 1e-8)
+    vals, x, converged, matvecs, residual = _top_eigenpairs(adj, 2, tol, max_iter)
+    lam1, lam2 = float(vals[0]), float(vals[1])
     return SpectralPair(
         lambda1=lam1,
         lambda2=lam2,
         x=ScoreVector(x, "eigenvector"),
         converged=converged,
-        degenerate=degenerate,
-        disconnected=disconnected,
-        iterations=it1 + it2,
+        degenerate=bool(lam1 - lam2 <= 1e-8),
+        disconnected=bool(n_comp > 1),
+        iterations=matvecs,
         residual=residual,
     )
 

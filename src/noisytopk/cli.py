@@ -52,6 +52,17 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--quiet", action="store_true", help="suppress progress chatter")
 
 
+def _add_solver(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument(
+        "--tol", type=float, default=1e-10,
+        help="ARPACK relative accuracy of the eigenvalues (default 1e-10; 0 means machine precision)",
+    )
+    sub.add_argument(
+        "--max-iter", type=int, default=10000,
+        help="ARPACK budget of Lanczos restarts; exhausting it exits 3 (default 10000)",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="noisytopk", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"noisytopk {__version__}")
@@ -79,8 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cen.add_argument("--in", dest="input", type=str, required=True, help="input edge list")
     p_cen.add_argument("--kind", choices=("degree", "eigenvector", "both"), default="both")
     p_cen.add_argument("--k", type=int, default=None, help="also report the top-k node sets")
-    p_cen.add_argument("--tol", type=float, default=1e-10)
-    p_cen.add_argument("--max-iter", type=int, default=10000)
+    _add_solver(p_cen)
     _add_common(p_cen)
     p_cen.set_defaults(func=cmd_centrality)
 
@@ -94,8 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bnd.add_argument("--c-of-n", type=float, default=None, help="slack constant (default ln ln n, min 1)")
     p_bnd.add_argument("--i-star", type=int, default=None, help="bulk split rank (default: auto)")
     p_bnd.add_argument("--no-evec", action="store_true", help="skip the eigenvector bound")
-    p_bnd.add_argument("--tol", type=float, default=1e-10)
-    p_bnd.add_argument("--max-iter", type=int, default=10000)
+    _add_solver(p_bnd)
     _add_common(p_bnd)
     p_bnd.set_defaults(func=cmd_bounds)
 
@@ -144,6 +153,15 @@ def cmd_perturb(args) -> int:
     return EXIT_OK
 
 
+def _nonconverged(args, residual: float) -> int:
+    print(
+        f"error: eigenvector solve did not converge in {args.max_iter} Lanczos restarts "
+        f"(residual {residual:.3e})",
+        file=sys.stderr,
+    )
+    return EXIT_RUNTIME
+
+
 def cmd_centrality(args) -> int:
     g = load_edge_list(args.input)
     deg = degree_scores(g)
@@ -153,12 +171,7 @@ def cmd_centrality(args) -> int:
     if args.kind in ("eigenvector", "both"):
         pair = spectral_top2(g, tol=args.tol, max_iter=args.max_iter)
         if not pair.converged:
-            print(
-                f"error: eigenvector solve did not converge in {args.max_iter} iterations "
-                f"(residual {pair.residual:.3e})",
-                file=sys.stderr,
-            )
-            return EXIT_RUNTIME
+            return _nonconverged(args, pair.residual)
         for i in range(g.n):
             rows[i]["eigenvector"] = float(pair.x.scores[i])
         report.update(
@@ -211,6 +224,8 @@ def cmd_bounds(args) -> int:
         tol=args.tol,
         max_iter=args.max_iter,
     )
+    if report["evec"] is not None and not report["evec"]["converged"]:
+        return _nonconverged(args, report["evec"]["residual"])
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if args.out is None:
         sys.stdout.write(text)
@@ -318,14 +333,6 @@ def cmd_experiment(args) -> int:
         rows = run_topk_experiment(cfg, threads=threads)
         csv_path, json_path = _experiment_outputs(args, run_type, kind)
         write_summary_csv(rows, csv_path)
-        meta = {
-            "experiment": "topk",
-            "config": {sec: dict(cp.items(sec)) for sec in cp.sections()},
-            "seed_root": seed_root,
-            "package_version": __version__,
-            "git_describe": git_describe(),
-        }
-        write_json_mirror(json_path, meta, rows)
     elif run_type == "localization":
         n_grid = [int(v) for v in _cfg_get(cp, "grid", "n_grid", required=True).split()]
         rows = run_localization(
@@ -336,14 +343,6 @@ def cmd_experiment(args) -> int:
         )
         csv_path, json_path = _experiment_outputs(args, run_type, "pa")
         write_localization_csv(rows, csv_path)
-        meta = {
-            "experiment": "localization",
-            "config": {sec: dict(cp.items(sec)) for sec in cp.sections()},
-            "seed_root": seed_root,
-            "package_version": __version__,
-            "git_describe": git_describe(),
-        }
-        write_json_mirror(json_path, meta, rows)
     elif run_type == "jaccard":
         rows = run_jaccard_comparison(
             n=int(_cfg_get(cp, "model", "n", required=True)),
@@ -358,14 +357,6 @@ def cmd_experiment(args) -> int:
         )
         csv_path, json_path = _experiment_outputs(args, run_type, "pa")
         write_summary_csv(rows, csv_path)
-        meta = {
-            "experiment": "jaccard",
-            "config": {sec: dict(cp.items(sec)) for sec in cp.sections()},
-            "seed_root": seed_root,
-            "package_version": __version__,
-            "git_describe": git_describe(),
-        }
-        write_json_mirror(json_path, meta, rows)
     elif run_type == "figure1":
         profile = run_figure1_profile(
             n=int(_cfg_get(cp, "model", "n", required=True)),
@@ -381,17 +372,17 @@ def cmd_experiment(args) -> int:
         )
         csv_path, json_path = _experiment_outputs(args, run_type, "all")
         write_figure1_csv(profile, csv_path)
-        meta = {
-            "experiment": "figure1",
-            "config": {sec: dict(cp.items(sec)) for sec in cp.sections()},
-            "seed_root": seed_root,
-            "package_version": __version__,
-            "git_describe": git_describe(),
-        }
-        fig_rows = [{"model": name, **entry} for name, entry in profile["models"].items()]
-        write_json_mirror(json_path, meta, fig_rows)
+        rows = [{"model": name, **entry} for name, entry in profile["models"].items()]
     else:
         raise ValueError(f"unknown experiment type {run_type!r}")
+    meta = {
+        "experiment": run_type,
+        "config": {sec: dict(cp.items(sec)) for sec in cp.sections()},
+        "seed_root": seed_root,
+        "package_version": __version__,
+        "git_describe": git_describe(),
+    }
+    write_json_mirror(json_path, meta, rows)
 
     elapsed = time.monotonic() - started
     _say(args, f"wrote {csv_path} and {json_path} (wall time {elapsed:.2f}s)")

@@ -126,8 +126,6 @@ class ExperimentConfig:
     noise_grid: tuple[NoiseParams, ...] = ()
     centrality: str = "degree"
     theory_curve: bool = False
-    tol: float = 1e-10
-    max_iter: int = 10000
 
     def __post_init__(self):
         if self.model not in ("er", "pa", "sw"):
@@ -252,7 +250,7 @@ def _run_one_graph(cfg: ExperimentConfig, cell_idx: int, n: int, noise: NoisePar
     evec_true_ok = False
     s_k_evec = None
     if want_evec:
-        lam1, x, ok = leading_eigenvector(g, cfg.tol, cfg.max_iter)
+        lam1, x, ok = leading_eigenvector(g)
         if ok:
             evec_true_ok = True
             s_k_evec = top_k(ScoreVector(x, "eigenvector"), k, tie_seed)
@@ -274,7 +272,8 @@ def _run_one_graph(cfg: ExperimentConfig, cell_idx: int, n: int, noise: NoisePar
         d = hamming(s_k, s_tilde)
         hb = hamming_bounds_realization(s_k, noisy, k)
         # the sandwich holds deterministically for every draw; a violation is a bug
-        assert hb.lower <= d <= hb.upper, (hb.lower, d, hb.upper)
+        if not hb.lower <= d <= hb.upper:
+            raise RuntimeError(f"Hamming sandwich violated: {hb.lower} <= {d} <= {hb.upper} fails")
         dh[r] = d
         lower[r] = hb.lower
         upper[r] = hb.upper
@@ -290,7 +289,7 @@ def _run_one_graph(cfg: ExperimentConfig, cell_idx: int, n: int, noise: NoisePar
             n_comp, _ = connected_components(y.adjacency_csr(), directed=False)
             if n_comp > 1:
                 n_disconnected += 1
-            lam1y, xy, oky = leading_eigenvector(y, cfg.tol, cfg.max_iter)
+            lam1y, xy, oky = leading_eigenvector(y)
             if evec_true_ok and oky:
                 s_tilde_evec = top_k(ScoreVector(xy, "eigenvector"), k, tie_seed)
                 jac_evec_sum += jaccard(s_k_evec, s_tilde_evec)
@@ -412,8 +411,6 @@ def run_localization(
     reps: int = 200,
     b: float = 1.0,
     seed_root: int = 0,
-    tol: float = 1e-10,
-    max_iter: int = 10000,
 ) -> list[LocalizationRow]:
     """Hub-localization diagnostics of the leading eigenvector on PA trees (m=1).
 
@@ -437,7 +434,7 @@ def run_localization(
             h = int(np.argmax(deg))
             if int(np.count_nonzero(deg == deg[h])) > 1:
                 n_ties += 1
-            lam1, x, ok = leading_eigenvector(g, tol, max_iter)
+            lam1, x, ok = leading_eigenvector(g)
             if not ok:
                 n_excluded += 1
                 continue

@@ -8,7 +8,9 @@ their parameters and an explicit integer seed.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
+from typing import NoReturn
 
 import numpy as np
 from scipy import sparse
@@ -313,17 +315,35 @@ def load_edge_list(path) -> Graph:
             n = int(header[4:])
         except ValueError as exc:
             raise ValueError(f"unparsable node count in header {header!r}") from exc
-        rows = []
+        with warnings.catch_warnings():
+            # a header with no edge rows is a valid empty graph
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            try:
+                edges = np.loadtxt(fh, dtype=np.int64, ndmin=2, comments=None)
+            except ValueError:
+                edges = None
+    if edges is not None and edges.size == 0:
+        edges = edges.reshape(0, 2)
+    if edges is None or edges.shape[1] != 2:
+        _raise_first_bad_line(path, n)
+    u, v = edges[:, 0], edges[:, 1]
+    if not np.all((0 <= u) & (u < v) & (v < n)):
+        _raise_first_bad_line(path, n)
+    return Graph(n, edges)
+
+
+def _raise_first_bad_line(path, n: int) -> NoReturn:
+    """Re-scan a rejected edge list and name the file and line of its first bad row."""
+    with open(path, "r", encoding="ascii") as fh:
+        fh.readline()
         for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
             parts = line.split()
-            if len(parts) != 2:
-                raise ValueError(f"{path!r}:{lineno}: expected 'u v', got {line!r}")
-            u, v = int(parts[0]), int(parts[1])
+            if not parts:
+                continue
+            try:
+                u, v = map(int, parts)
+            except ValueError:
+                raise ValueError(f"{path!r}:{lineno}: expected 'u v', got {line.strip()!r}") from None
             if not 0 <= u < v < n:
                 raise ValueError(f"{path!r}:{lineno}: bad edge ({u}, {v}) for n={n}")
-            rows.append((u, v))
-    edges = np.asarray(rows, dtype=np.int64).reshape(-1, 2)
-    return Graph(n, edges)
+    raise ValueError(f"{path!r}: malformed edge list")

@@ -199,8 +199,34 @@ class TestLeadingEigenvector:
         assert converged
         assert np.all(x > 0)
 
+    def test_repeated_leading_eigenvalue_gives_nonnegative_vector(self):
+        # three disjoint K4s share lambda1 = 3; Lanczos may mix them with
+        # opposite signs, and both solvers must still return a Perron vector
+        edges = [[b + i, b + j] for b in (0, 4, 8) for i in range(4) for j in range(i + 1, 4)]
+        g = _graph(13, edges)
+        adj = g.adjacency_csr()
+        lam, x, converged = leading_eigenvector(g, tol=1e-10, max_iter=10000)
+        pair = spectral_top2(g, tol=1e-10, max_iter=10000)
+        assert converged and pair.converged
+        assert pair.degenerate
+        for lam1, vec in ((lam, x), (pair.lambda1, pair.x.scores)):
+            assert lam1 == pytest.approx(3.0, abs=1e-10)
+            assert np.all(vec >= 0.0)
+            assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
+            assert np.linalg.norm(adj @ vec - lam1 * vec) <= 1e-10
+
 
 class TestSpectralTop2:
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_dense_er_converges_to_oracle(self, seed):
+        g = generate_er(1000, 0.25, seed=seed)
+        pair = spectral_top2(g, tol=1e-10, max_iter=10000)
+        ref = np.linalg.eigvalsh(g.adjacency_csr().toarray())
+        assert pair.converged
+        assert pair.residual <= 1e-10 * pair.lambda1
+        assert pair.lambda1 == pytest.approx(ref[-1], abs=1e-8)
+        assert pair.lambda2 == pytest.approx(ref[-2], abs=1e-8)
+
     def test_complete_graph_second_eigenvalue(self):
         pair = spectral_top2(K4, tol=1e-10, max_iter=10000)
         assert pair.lambda1 == pytest.approx(3.0, abs=1e-8)

@@ -166,6 +166,17 @@ class TestBounds:
         code = main(["bounds", "--in", str(src), "--k", "3", "--alpha", "0.7", "--beta", "0.5"])
         assert code == 2
 
+    def test_exhausted_solver_budget_is_runtime_error(self, tmp_path, capsys):
+        src = _write_graph(tmp_path, n=200, p=0.25)
+        dst = tmp_path / "report.json"
+        code = main(
+            ["bounds", "--in", str(src), "--k", "3", "--alpha", "0.05", "--beta", "0.05",
+             "--max-iter", "1", "--out", str(dst)]
+        )
+        assert code == 3
+        assert "residual" in capsys.readouterr().err
+        assert not dst.exists()
+
 
 class TestExperiment:
     def test_bundled_noise_grid_has_five_cells(self):

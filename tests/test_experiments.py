@@ -162,6 +162,19 @@ class TestRunTopkExperiment:
         assert row.n_graphs == 4
         assert row.n_draws == 12
 
+    def test_sandwich_violation_raises(self, monkeypatch):
+        import noisytopk.experiments as experiments
+
+        real = experiments.hamming_bounds_realization
+
+        def inverted(s_k, noisy, k):
+            hb = real(s_k, noisy, k)
+            return hb._replace(lower=hb.upper + 1)
+
+        monkeypatch.setattr(experiments, "hamming_bounds_realization", inverted)
+        with pytest.raises(RuntimeError, match="sandwich"):
+            run_topk_experiment(_base_cfg())
+
     def test_row_per_cell_and_sandwich_means(self):
         cfg = _base_cfg(graphs_per_point=3, noise_draws_per_graph=4)
         rows = run_topk_experiment(cfg)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -239,6 +240,30 @@ class TestEdgeListIO:
         path = tmp_path / "bad.edges"
         path.write_text("0 1\n")
         with pytest.raises(ValueError):
+            load_edge_list(path)
+
+    def test_empty_edge_list_loads_without_warning(self, tmp_path):
+        path = tmp_path / "empty.edges"
+        save_edge_list(_graph(3, []), path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g = load_edge_list(path)
+        assert g.n == 3 and g.num_edges == 0
+
+    @pytest.mark.parametrize(
+        "body, line",
+        [
+            ("0 1\n\n1 2 3\n", 4),
+            ("0 1\n1 x\n", 3),
+            ("0 1 2\n", 2),
+            ("0 1\n\n\n2 9\n", 5),
+            ("0 1\n-1 2\n", 3),
+        ],
+    )
+    def test_load_error_names_file_and_line(self, tmp_path, body, line):
+        path = tmp_path / "bad.edges"
+        path.write_text("# n=4\n" + body)
+        with pytest.raises(ValueError, match=rf"bad\.edges\W*:{line}:"):
             load_edge_list(path)
 
 
