@@ -80,7 +80,7 @@ def main():
     print(f"realized Hamming distance {d}, certified sandwich "
           f"[{hb.lower}, {hb.upper}], cutoff score t = {hb.t}")
     print()
-    print("The full report is JSON-ready; keys of the dense-graph report:")
+    print("The full report is a dict of plain values; keys of the dense-graph report:")
     print(json.dumps(sorted(report.keys())))
 
 

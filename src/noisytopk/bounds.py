@@ -104,11 +104,19 @@ class InfeasibilityReport:
 
 
 class HammingBoundsRealization(NamedTuple):
-    """Per-realization sandwich on the top-k Hamming distance."""
+    """Per-realization sandwich on the top-k Hamming distance.
+
+    The four counts split the noisy scores at t: true top-k members below
+    (at most) t and outsiders above (at least) t.
+    """
 
     lower: int
     upper: int
     t: float
+    in_below: int
+    in_at_most: int
+    out_above: int
+    out_at_least: int
 
 
 class TailEnvelope(NamedTuple):
@@ -406,7 +414,7 @@ def hamming_bounds_realization(
 
     lower = 2 * max(in_below, out_above)
     upper = 2 * min(in_at_most, out_at_least)
-    return HammingBoundsRealization(lower=lower, upper=upper, t=t)
+    return HammingBoundsRealization(lower, upper, t, in_below, in_at_most, out_above, out_at_least)
 
 
 def er_noise_variance_proxy(n: int, p: float, params: NoiseParams) -> float:
@@ -551,15 +559,6 @@ def classify_regime(sep: SeparationReport, inf_rep: InfeasibilityReport) -> str:
     return "indeterminate"
 
 
-def _json_safe(value):
-    if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-    return value
-
-
 def bound_report(
     g: Graph,
     k: int,
@@ -572,9 +571,11 @@ def bound_report(
     tol: float = 1e-10,
     max_iter: int = 10000,
 ) -> dict:
-    """Assemble every bound evaluation for one graph into a JSON-ready dict.
+    """Assemble every bound evaluation for one graph into a dict of plain values.
 
-    Non-finite floats are serialized as the strings 'nan'/'inf'/'-inf'.
+    Numbers are plain Python floats and ints, so snr and eps_n may be
+    inf or nan.  The CLI writes the report as strict JSON, with those
+    values as the strings 'nan'/'inf'/'-inf'.
     """
     dseq = degrees(g)
     n = g.n
@@ -605,7 +606,7 @@ def bound_report(
             "boundary_ok": sep.boundary_ok,
             "bulk_ok": sep.bulk_ok,
             "one_gap_ok": sep.one_gap_ok,
-            "snr": _json_safe(sep.snr),
+            "snr": sep.snr,
             "success_prob_budget": sep.success_prob_budget,
         },
         "infeasibility": {
@@ -635,7 +636,7 @@ def bound_report(
             "b1": eb.b1,
             "b2": eb.b2,
             "b3": eb.b3,
-            "eps_n": _json_safe(eb.eps_n),
+            "eps_n": eb.eps_n,
             "gap_condition_ok": eb.gap_condition_ok,
             "topk_entry_gap_ok": evec_gap_check(pair, k, eb) if k < n else False,
         }

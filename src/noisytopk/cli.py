@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import json
 import sys
 import time
 from datetime import datetime, timezone
@@ -25,13 +24,14 @@ from .centrality import degree_scores, spectral_top2, top_k
 from .experiments import (
     ExperimentConfig,
     NoiseSchedule,
-    derive_seed,
     git_describe,
+    json_text,
     run_figure1_profile,
     run_jaccard_comparison,
     run_localization,
     run_topk_experiment,
     write_figure1_csv,
+    write_csv,
     write_json_mirror,
     write_localization_csv,
     write_summary_csv,
@@ -44,12 +44,13 @@ EXIT_USAGE = 2
 EXIT_RUNTIME = 3
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    sub.add_argument("--out", type=str, default=None, help="output path (or base path)")
-    sub.add_argument("--format", choices=("csv", "json"), default="csv", help="tabular output format")
-    sub.add_argument("--threads", type=int, default=None, help="worker cap for the harness")
+def _add_common(sub: argparse.ArgumentParser, out_required: bool = False) -> None:
+    sub.add_argument("--out", type=str, required=out_required, help="output path (or base path)")
     sub.add_argument("--quiet", action="store_true", help="suppress progress chatter")
+
+
+def _add_seed(sub: argparse.ArgumentParser, what: str) -> None:
+    sub.add_argument("--seed", type=int, default=0, help=f"{what} seed (default 0)")
 
 
 def _add_solver(sub: argparse.ArgumentParser) -> None:
@@ -76,20 +77,24 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--b", type=float, default=1.0, help="pa: attachment offset (default 1)")
     p_gen.add_argument("--k-ring", type=int, default=None, help="sw: ring degree (even)")
     p_gen.add_argument("--rewire-p", type=float, default=None, help="sw: rewiring probability")
-    _add_common(p_gen)
+    _add_seed(p_gen, "RNG")
+    _add_common(p_gen, out_required=True)
     p_gen.set_defaults(func=cmd_generate)
 
     p_prt = subs.add_parser("perturb", help="apply edge-flip noise to an edge list")
     p_prt.add_argument("--in", dest="input", type=str, required=True, help="input edge list")
     p_prt.add_argument("--alpha", type=float, required=True, help="addition probability")
     p_prt.add_argument("--beta", type=float, required=True, help="deletion probability")
-    _add_common(p_prt)
+    _add_seed(p_prt, "RNG")
+    _add_common(p_prt, out_required=True)
     p_prt.set_defaults(func=cmd_perturb)
 
     p_cen = subs.add_parser("centrality", help="degree / eigenvector scores of an edge list")
     p_cen.add_argument("--in", dest="input", type=str, required=True, help="input edge list")
     p_cen.add_argument("--kind", choices=("degree", "eigenvector", "both"), default="both")
     p_cen.add_argument("--k", type=int, default=None, help="also report the top-k node sets")
+    p_cen.add_argument("--format", choices=("csv", "json"), default="csv", help="format of the --out table")
+    _add_seed(p_cen, "top-k tie-break")
     _add_solver(p_cen)
     _add_common(p_cen)
     p_cen.set_defaults(func=cmd_centrality)
@@ -110,6 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_exp = subs.add_parser("experiment", help="run a Monte Carlo study from a config file")
     p_exp.add_argument("config", type=str, help="key=value config file with sections")
+    p_exp.add_argument("--threads", type=int, default=1, help="worker processes for the harness (default 1)")
     _add_common(p_exp)
     p_exp.set_defaults(func=cmd_experiment)
 
@@ -122,8 +128,6 @@ def _say(args, message: str) -> None:
 
 
 def cmd_generate(args) -> int:
-    if args.out is None:
-        raise ValueError("generate needs --out (edge list path)")
     if args.model == "er":
         if args.p is None:
             raise ValueError("er needs --p")
@@ -142,8 +146,6 @@ def cmd_generate(args) -> int:
 
 
 def cmd_perturb(args) -> int:
-    if args.out is None:
-        raise ValueError("perturb needs --out (edge list path)")
     g = load_edge_list(args.input)
     y = apply_noise(g, NoiseParams(alpha=args.alpha, beta=args.beta), args.seed)
     save_edge_list(y, args.out)
@@ -191,18 +193,10 @@ def cmd_centrality(args) -> int:
             _say(args, f"{key}: {val}")
         return EXIT_OK
     if args.format == "json":
-        with open(args.out, "w", encoding="ascii") as fh:
-            json.dump({"meta": report, "rows": rows}, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json_mirror(args.out, report, rows)
     else:
-        import csv as _csv
-
-        names = list(rows[0].keys())
-        with open(args.out, "w", newline="", encoding="ascii") as fh:
-            writer = _csv.writer(fh, lineterminator="\n")
-            writer.writerow(names)
-            for row in rows:
-                writer.writerow([repr(row[name]) if isinstance(row[name], float) else row[name] for name in names])
+        names = list(rows[0])
+        write_csv(args.out, names, ([row[name] for name in names] for row in rows))
     _say(args, f"wrote {args.out}")
     for key, val in report.items():
         if not isinstance(val, list):
@@ -226,7 +220,7 @@ def cmd_bounds(args) -> int:
     )
     if report["evec"] is not None and not report["evec"]["converged"]:
         return _nonconverged(args, report["evec"]["residual"])
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    text = json_text(report)
     if args.out is None:
         sys.stdout.write(text)
     else:
@@ -309,7 +303,6 @@ def cmd_experiment(args) -> int:
         raise OSError(f"cannot read config file {args.config!r}")
     run_type = _cfg_get(cp, "run", "type", required=True)
     seed_root = int(_cfg_get(cp, "mc", "seed_root", 0))
-    threads = args.threads if args.threads is not None else 1
 
     started = time.monotonic()
     if run_type == "topk":
@@ -330,7 +323,7 @@ def cmd_experiment(args) -> int:
             centrality=_cfg_get(cp, "mc", "centrality", "degree"),
             theory_curve=cp.getboolean("mc", "theory_curve", fallback=False),
         )
-        rows = run_topk_experiment(cfg, threads=threads)
+        rows = run_topk_experiment(cfg, threads=args.threads)
         csv_path, json_path = _experiment_outputs(args, run_type, kind)
         write_summary_csv(rows, csv_path)
     elif run_type == "localization":
@@ -353,7 +346,7 @@ def cmd_experiment(args) -> int:
             draws=int(_cfg_get(cp, "mc", "draws", required=True)),
             seed_root=seed_root,
             b=float(_cfg_get(cp, "model", "b", 1.0)),
-            threads=threads,
+            threads=args.threads,
         )
         csv_path, json_path = _experiment_outputs(args, run_type, "pa")
         write_summary_csv(rows, csv_path)

@@ -42,7 +42,9 @@ __all__ = [
     "write_summary_csv",
     "write_localization_csv",
     "write_figure1_csv",
+    "write_csv",
     "write_json_mirror",
+    "json_text",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -150,6 +152,9 @@ class ExperimentConfig:
         else:
             if "n" not in self.model_params:
                 raise ValueError("noise_grid mode needs model_params['n']")
+        n_min = self.n_grid[0] if self.n_grid else int(self.model_params["n"])
+        if self.k >= n_min:
+            raise ValueError(f"need k < n at every grid point, got k={self.k}, smallest n={n_min}")
         if self.theory_curve and self.model != "er":
             raise ValueError("theory_curve is defined for the er model only")
 
@@ -243,8 +248,6 @@ def _run_one_graph(cfg: ExperimentConfig, cell_idx: int, n: int, noise: NoisePar
 
     true_scores = degree_scores(g)
     s_k = top_k(true_scores, k, tie_seed)
-    members = np.zeros(n, dtype=bool)
-    members[list(s_k.members)] = True
 
     want_evec = cfg.centrality == "both"
     evec_true_ok = False
@@ -278,12 +281,10 @@ def _run_one_graph(cfg: ExperimentConfig, cell_idx: int, n: int, noise: NoisePar
         lower[r] = hb.lower
         upper[r] = hb.upper
         jac_deg[r] = jaccard(s_k, s_tilde)
-
-        s = noisy.scores
-        in_below += int(np.count_nonzero(s[members] < hb.t))
-        in_at_most += int(np.count_nonzero(s[members] <= hb.t))
-        out_above += int(np.count_nonzero(s[~members] > hb.t))
-        out_at_least += int(np.count_nonzero(s[~members] >= hb.t))
+        in_below += hb.in_below
+        in_at_most += hb.in_at_most
+        out_above += hb.out_above
+        out_at_least += hb.out_at_least
 
         if want_evec:
             n_comp, _ = connected_components(y.adjacency_csr(), directed=False)
@@ -565,13 +566,17 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _rows_to_csv(rows, path) -> None:
-    names = [f.name for f in fields(rows[0])]
+def write_csv(path, header, rows) -> None:
+    """Write a header and row sequences as CSV; floats keep every digit (repr)."""
     with open(path, "w", newline="", encoding="ascii") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(names)
-        for row in rows:
-            writer.writerow([_fmt(getattr(row, name)) for name in names])
+        writer.writerow(header)
+        writer.writerows([_fmt(value) for value in row] for row in rows)
+
+
+def _rows_to_csv(rows, path) -> None:
+    names = [f.name for f in fields(rows[0])]
+    write_csv(path, names, ([getattr(row, name) for name in names] for row in rows))
 
 
 def write_summary_csv(rows: list[SummaryRow], path) -> None:
@@ -589,12 +594,11 @@ def write_localization_csv(rows: list[LocalizationRow], path) -> None:
 
 def write_figure1_csv(profile: dict, path) -> None:
     """Flatten a figure profile into (model, rank, node, true_degree, noisy_degree)."""
-    with open(path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["model", "rank", "node", "true_degree", "noisy_degree"])
-        for name, entry in profile["models"].items():
-            for rank, node, true_deg, noisy_deg in entry["rows"]:
-                writer.writerow([name, rank, node, true_deg, noisy_deg])
+    write_csv(
+        path,
+        ["model", "rank", "node", "true_degree", "noisy_degree"],
+        ((name, *row) for name, entry in profile["models"].items() for row in entry["rows"]),
+    )
 
 
 def _json_sanitize(obj):
@@ -609,6 +613,11 @@ def _json_sanitize(obj):
     if isinstance(obj, (list, tuple)):
         return [_json_sanitize(val) for val in obj]
     return obj
+
+
+def json_text(doc) -> str:
+    """Strict JSON text of doc with sorted keys; non-finite floats become 'nan'/'inf'/'-inf'."""
+    return json.dumps(_json_sanitize(doc), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def git_describe() -> str:
@@ -636,10 +645,6 @@ def write_json_mirror(path, meta: dict, rows) -> None:
     """
     if rows and hasattr(rows[0], "__dataclass_fields__"):
         names = [f.name for f in fields(rows[0])]
-        payload_rows = [{name: getattr(row, name) for name in names} for row in rows]
-    else:
-        payload_rows = rows
-    doc = {"meta": _json_sanitize(meta), "rows": _json_sanitize(payload_rows)}
+        rows = [{name: getattr(row, name) for name in names} for row in rows]
     with open(path, "w", encoding="ascii") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json_text({"meta": meta, "rows": rows}))

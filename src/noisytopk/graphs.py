@@ -181,11 +181,23 @@ def generate_er(n: int, p: float, seed: int) -> Graph:
         raise ValueError(f"need at least one node, got n={n}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability must lie in [0, 1], got {p}")
+    return _flip_pairs(n, np.empty(0, dtype=np.int64), p, 0.0, seed)
+
+
+def _flip_pairs(n: int, present: np.ndarray, alpha: float, beta: float, seed: int) -> Graph:
+    """Flip every node pair independently, one uniform per pair in lexicographic order.
+
+    present holds the sorted linear indices of the starting edges.  A
+    present edge survives when its uniform is >= beta; an absent pair
+    becomes an edge when its uniform is < alpha.
+    """
     rng = np.random.default_rng(seed)
-    n_pairs = n * (n - 1) // 2
-    u = rng.random(n_pairs)
-    idx = np.flatnonzero(u < p)
-    uu, vv = pair_from_index(n, idx)
+    u = rng.random(n * (n - 1) // 2)
+    kept = present[u[present] >= beta]
+    added_mask = u < alpha
+    added_mask[present] = False
+    lin = np.sort(np.concatenate([kept, np.flatnonzero(added_mask)]))
+    uu, vv = pair_from_index(n, lin)
     return Graph._from_canonical(n, np.column_stack([uu, vv]))
 
 

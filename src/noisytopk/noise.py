@@ -14,7 +14,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .graphs import Graph, pair_from_index
+from .graphs import Graph, _flip_pairs, pair_from_index
 
 __all__ = ["NoiseParams", "apply_noise", "exact_noise_distribution"]
 
@@ -43,21 +43,7 @@ def apply_noise(a: Graph, params: NoiseParams, seed: int) -> Graph:
     pairs turn into edges independently with probability alpha.  With
     alpha = beta = 0 the output equals the input exactly.
     """
-    n = a.n
-    rng = np.random.default_rng(seed)
-    n_pairs = n * (n - 1) // 2
-    u = rng.random(n_pairs)  # lexicographic pair order
-
-    present = a.edge_linear_indices()
-    kept = present[u[present] >= params.beta]
-
-    added_mask = u < params.alpha
-    added_mask[present] = False
-    added = np.flatnonzero(added_mask)
-
-    lin = np.sort(np.concatenate([kept, added]))
-    uu, vv = pair_from_index(n, lin)
-    return Graph._from_canonical(n, np.column_stack([uu, vv]))
+    return _flip_pairs(a.n, a.edge_linear_indices(), params.alpha, params.beta, seed)
 
 
 def exact_noise_distribution(

@@ -512,6 +512,11 @@ class TestBoundReport:
         parsed = json.loads(text)
         assert isinstance(parsed["separation"]["snr"], (str, float))
 
+    def test_non_finite_stay_floats(self):
+        g = _graph(6, [[0, 1], [0, 2], [0, 3], [1, 2], [4, 5], [1, 3]])
+        report = bound_report(g, k=2, params=NoiseParams(0.0, 0.0), include_evec=False)
+        assert report["separation"]["snr"] == math.inf
+
     def test_skip_evec(self):
         g = generate_er(40, 0.3, seed=2)
         report = bound_report(g, k=4, params=NoiseParams(0.02, 0.02), include_evec=False)

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 from pathlib import Path
@@ -5,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from noisytopk import __version__
-from noisytopk.cli import main
+from noisytopk.cli import build_parser, main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -36,6 +37,52 @@ class TestTopLevel:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+
+# every option each subcommand registers, apart from --help
+OPTIONS = {
+    "generate": {"--n", "--p", "--m", "--b", "--k-ring", "--rewire-p", "--seed", "--out", "--quiet"},
+    "perturb": {"--in", "--alpha", "--beta", "--seed", "--out", "--quiet"},
+    "centrality": {"--in", "--kind", "--k", "--format", "--seed", "--tol", "--max-iter", "--out", "--quiet"},
+    "bounds": {
+        "--in", "--k", "--alpha", "--beta", "--delta", "--c1", "--c-of-n", "--i-star", "--no-evec",
+        "--tol", "--max-iter", "--out", "--quiet",
+    },
+    "experiment": {"--threads", "--out", "--quiet"},
+}
+
+
+class TestOptionSurface:
+    @staticmethod
+    def _subcommands():
+        parser = build_parser()
+        action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        return action.choices
+
+    def test_subcommands(self):
+        assert set(self._subcommands()) == set(OPTIONS)
+
+    @pytest.mark.parametrize("command", sorted(OPTIONS))
+    def test_option_set(self, command):
+        sub = self._subcommands()[command]
+        registered = {opt for action in sub._actions for opt in action.option_strings}
+        assert registered - {"-h", "--help"} == OPTIONS[command]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bounds", "--in", "{d}/g.txt", "--k", "3", "--alpha", "0", "--beta", "0", "--seed", "1"],
+            ["experiment", "{d}/cfg.ini", "--format", "json"],
+            ["generate", "er", "--n", "10", "--p", "0.5", "--out", "{d}/g.txt", "--threads", "2"],
+            ["generate", "er", "--n", "10", "--p", "0.5"],
+            ["perturb", "--in", "{d}/g.txt", "--alpha", "0.1", "--beta", "0.1"],
+        ],
+    )
+    def test_unregistered_or_missing_flag_is_usage_error(self, tmp_path, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([arg.format(d=tmp_path) for arg in argv])
+        assert exc.value.code == 2
+        assert not (tmp_path / "g.txt").exists()
 
 
 class TestGenerate:
@@ -160,6 +207,23 @@ class TestBounds:
         assert code == 0
         doc = json.loads(dst.read_text())
         assert doc["evec"] is None
+
+    def test_non_finite_written_as_strict_json(self, tmp_path):
+        # a tied cutoff at zero noise gives snr = inf
+        src = tmp_path / "tied.txt"
+        src.write_text("# n=6\n0 1\n0 2\n0 3\n1 2\n1 3\n4 5\n")
+        dst = tmp_path / "report.json"
+        code = main(
+            ["bounds", "--in", str(src), "--k", "2", "--alpha", "0", "--beta", "0",
+             "--no-evec", "--out", str(dst), "--quiet"]
+        )
+        assert code == 0
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        doc = json.loads(dst.read_text(), parse_constant=reject)
+        assert doc["separation"]["snr"] == "inf"
 
     def test_bad_noise_is_usage_error(self, tmp_path, capsys):
         src = _write_graph(tmp_path)

@@ -125,6 +125,12 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             _base_cfg(n_grid=(40, 20))
 
+    def test_k_must_be_below_smallest_n(self):
+        with pytest.raises(ValueError, match="k < n"):
+            _base_cfg(k=5, n_grid=(4, 50))
+        with pytest.raises(ValueError, match="k < n"):
+            _base_cfg(k=30, n_grid=(), noise_grid=(NoiseParams(0.1, 0.1),), model_params={"p": 0.3, "n": 30})
+
     def test_theory_curve_er_only(self):
         with pytest.raises(ValueError):
             _base_cfg(model="pa", model_params={"m": 2}, theory_curve=True)
