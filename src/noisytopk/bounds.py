@@ -11,7 +11,7 @@ the noisy-degree standard deviation of the node holding rank i.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -197,8 +197,20 @@ def _check_flip_budget(params: NoiseParams) -> float:
 def _rank_moments(dseq: DegreeSequence, rank: int, params: NoiseParams) -> DegreeMoments:
     # rank is 1-based into the non-increasing order
     d_sorted = dseq.sorted_degrees()
+    return noisy_degree_moments(int(d_sorted[rank - 1]), d_sorted.size, params)
+
+
+def _split_inputs(dseq: DegreeSequence, k: int, i_star: int, params: NoiseParams):
+    """Validated (sorted degrees, 1 - alpha - beta, sigma at ranks k, k+1 and i_star)."""
+    d_sorted = dseq.sorted_degrees()
     n = d_sorted.size
-    return noisy_degree_moments(int(d_sorted[rank - 1]), n, params)
+    if not 1 <= k < n:
+        raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
+    if not k < i_star <= n:
+        raise ValueError(f"need k < i_star <= n, got k={k}, i_star={i_star}")
+    contraction = _check_flip_budget(params)
+    sigmas = (_rank_moments(dseq, rank, params).sigma for rank in (k, k + 1, i_star))
+    return (d_sorted, contraction, *sigmas)
 
 
 def default_i_star(
@@ -245,24 +257,14 @@ def separation_report(
 
     i_star is a 1-based rank with k < i_star <= n.
     """
-    d_sorted = dseq.sorted_degrees()
-    n = d_sorted.size
-    if not 1 <= k < n:
-        raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
-    if not k < i_star <= n:
-        raise ValueError(f"need k < i_star <= n, got k={k}, i_star={i_star}")
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    contraction = _check_flip_budget(params)
-
+    d_sorted, contraction, sig_k, sig_k1, sig_istar = _split_inputs(dseq, k, i_star, params)
+    n = d_sorted.size
     delta_bdry = float(d_sorted[k - 1] - d_sorted[k])
     delta_bulk = float(d_sorted[k - 1] - d_sorted[i_star - 1])
     l_k = math.log(k / delta)
     l_bdry = math.log(k * (i_star - k) / delta)
-
-    sig_k = _rank_moments(dseq, k, params).sigma
-    sig_k1 = _rank_moments(dseq, k + 1, params).sigma
-    sig_istar = _rank_moments(dseq, i_star, params).sigma
 
     # largest combined per-pair variance over top ranks vs near-boundary ranks
     sorted_sigma2 = np.array(
@@ -334,19 +336,10 @@ def infeasibility_report(
     delta_bdry_bar is the complementary single-gap threshold above which
     the boundary cannot be blamed.  Thresholds are clamped at zero.
     """
-    d_sorted = dseq.sorted_degrees()
-    n = d_sorted.size
-    if not 1 <= k < n:
-        raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
-    if not k < i_star <= n:
-        raise ValueError(f"need k < i_star <= n, got k={k}, i_star={i_star}")
     if not 0.0 < c1 < 1.0:
         raise ValueError(f"c1 must lie in (0, 1), got {c1}")
-    contraction = _check_flip_budget(params)
-
-    sig_k = _rank_moments(dseq, k, params).sigma
-    sig_k1 = _rank_moments(dseq, k + 1, params).sigma
-    sig_istar = _rank_moments(dseq, i_star, params).sigma
+    d_sorted, contraction, sig_k, sig_k1, sig_istar = _split_inputs(dseq, k, i_star, params)
+    n = d_sorted.size
 
     terms_star = correction_terms(n - i_star + 1, n, c_of_n)
     bulk_threshold = max(
@@ -559,6 +552,11 @@ def classify_regime(sep: SeparationReport, inf_rep: InfeasibilityReport) -> str:
     return "indeterminate"
 
 
+def _fields_past_rank(report) -> dict:
+    # k and i_star sit at the top level of the report
+    return {key: val for key, val in asdict(report).items() if key not in ("k", "i_star")}
+
+
 def bound_report(
     g: Graph,
     k: int,
@@ -594,28 +592,8 @@ def bound_report(
         "c1": c1,
         "c_of_n": c_of_n if c_of_n is not None else default_c_of_n(n),
         "i_star": i_star,
-        "separation": {
-            "delta_bdry": sep.delta_bdry,
-            "delta_bulk": sep.delta_bulk,
-            "l_k": sep.l_k,
-            "l_bdry": sep.l_bdry,
-            "sigma_bar_bdry": sep.sigma_bar_bdry,
-            "bdry_required": sep.bdry_required,
-            "bulk_required": sep.bulk_required,
-            "one_gap_required": sep.one_gap_required,
-            "boundary_ok": sep.boundary_ok,
-            "bulk_ok": sep.bulk_ok,
-            "one_gap_ok": sep.one_gap_ok,
-            "snr": sep.snr,
-            "success_prob_budget": sep.success_prob_budget,
-        },
-        "infeasibility": {
-            "delta_bulk_threshold": inf_rep.delta_bulk_threshold,
-            "delta_bdry_threshold": inf_rep.delta_bdry_threshold,
-            "delta_bdry_bar": inf_rep.delta_bdry_bar,
-            "bulk_infeasible": inf_rep.bulk_infeasible,
-            "bdry_infeasible": inf_rep.bdry_infeasible,
-        },
+        "separation": _fields_past_rank(sep),
+        "infeasibility": _fields_past_rank(inf_rep),
         "regime": classify_regime(sep, inf_rep),
     }
     if n - k >= 3:

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
-from .graphs import Graph
+from .graphs import Graph, _stream_rng
 
 __all__ = [
     "ScoreVector",
@@ -160,7 +160,12 @@ def leading_eigenvector(
     """
     if g.n < 2:
         raise ValueError(f"need at least two nodes, got n={g.n}")
-    vals, x, converged, _, _ = _top_eigenpairs(g.adjacency_csr(), 1, tol, max_iter)
+    return _leading_eigenpair(g.adjacency_csr(), tol, max_iter)
+
+
+def _leading_eigenpair(adj, tol: float = 1e-10, max_iter: int = 10000) -> tuple[float, np.ndarray, bool]:
+    """:func:`leading_eigenvector` on an adjacency matrix the caller already built."""
+    vals, x, converged, _, _ = _top_eigenpairs(adj, 1, tol, max_iter)
     return float(vals[0]), x, converged
 
 
@@ -216,8 +221,7 @@ def top_k(scores: ScoreVector, k: int, seed: int) -> TopKSet:
     if slots == tied.size:
         chosen = tied
     else:
-        rng = np.random.default_rng(seed)
-        chosen = rng.choice(tied, size=slots, replace=False)
+        chosen = _stream_rng(seed, "tiebreak").choice(tied, size=slots, replace=False)
     members = frozenset(int(i) for i in above) | frozenset(int(i) for i in chosen)
     return TopKSet(k=k, members=members, tie_broken=tie_broken)
 

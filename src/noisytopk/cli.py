@@ -18,6 +18,8 @@ import sys
 import time
 from datetime import datetime, timezone
 
+import numpy as np
+
 from . import __version__
 from .bounds import bound_report
 from .centrality import degree_scores, spectral_top2, top_k
@@ -36,7 +38,7 @@ from .experiments import (
     write_localization_csv,
     write_summary_csv,
 )
-from .graphs import PaParams, generate_er, generate_pa, generate_small_world, load_edge_list, save_edge_list
+from .graphs import STREAM_VERSION, PaParams, generate_er, generate_pa, generate_small_world, load_edge_list, save_edge_list
 from .noise import NoiseParams, apply_noise
 
 EXIT_OK = 0
@@ -51,6 +53,12 @@ def _add_common(sub: argparse.ArgumentParser, out_required: bool = False) -> Non
 
 def _add_seed(sub: argparse.ArgumentParser, what: str) -> None:
     sub.add_argument("--seed", type=int, default=0, help=f"{what} seed (default 0)")
+
+
+def _positive_int(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
 
 
 def _add_solver(sub: argparse.ArgumentParser) -> None:
@@ -115,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_exp = subs.add_parser("experiment", help="run a Monte Carlo study from a config file")
     p_exp.add_argument("config", type=str, help="key=value config file with sections")
-    p_exp.add_argument("--threads", type=int, default=1, help="worker processes for the harness (default 1)")
+    p_exp.add_argument("--threads", type=_positive_int, default=1, help="worker processes for the harness (default 1)")
     _add_common(p_exp)
     p_exp.set_defaults(func=cmd_experiment)
 
@@ -149,9 +157,8 @@ def cmd_perturb(args) -> int:
     g = load_edge_list(args.input)
     y = apply_noise(g, NoiseParams(alpha=args.alpha, beta=args.beta), args.seed)
     save_edge_list(y, args.out)
-    added = len(y.edge_set() - g.edge_set())
-    deleted = len(g.edge_set() - y.edge_set())
-    _say(args, f"wrote {args.out}: edges={y.num_edges} added={added} deleted={deleted}")
+    kept = np.intersect1d(g.edge_linear_indices(), y.edge_linear_indices(), assume_unique=True).size
+    _say(args, f"wrote {args.out}: edges={y.num_edges} added={y.num_edges - kept} deleted={g.num_edges - kept}")
     return EXIT_OK
 
 
@@ -373,6 +380,7 @@ def cmd_experiment(args) -> int:
         "config": {sec: dict(cp.items(sec)) for sec in cp.sections()},
         "seed_root": seed_root,
         "package_version": __version__,
+        "stream_version": STREAM_VERSION,
         "git_describe": git_describe(),
     }
     write_json_mirror(json_path, meta, rows)

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.sparse.csgraph import connected_components
 
 from .bounds import er_expected_hamming_lower_bound, hamming_bounds_realization
-from .centrality import ScoreVector, degree_scores, hamming, jaccard, leading_eigenvector, top_k
+from .centrality import ScoreVector, _leading_eigenpair, degree_scores, hamming, jaccard, leading_eigenvector, top_k
 from .graphs import Graph, PaParams, degrees, generate_er, generate_pa, generate_small_world
 from .noise import NoiseParams, apply_noise
 
@@ -287,10 +287,11 @@ def _run_one_graph(cfg: ExperimentConfig, cell_idx: int, n: int, noise: NoisePar
         out_at_least += hb.out_at_least
 
         if want_evec:
-            n_comp, _ = connected_components(y.adjacency_csr(), directed=False)
+            adj = y.adjacency_csr()
+            n_comp, _ = connected_components(adj, directed=False)
             if n_comp > 1:
                 n_disconnected += 1
-            lam1y, xy, oky = leading_eigenvector(y)
+            lam1y, xy, oky = _leading_eigenpair(adj)
             if evec_true_ok and oky:
                 s_tilde_evec = top_k(ScoreVector(xy, "eigenvector"), k, tie_seed)
                 jac_evec_sum += jaccard(s_k_evec, s_tilde_evec)
@@ -299,12 +300,12 @@ def _run_one_graph(cfg: ExperimentConfig, cell_idx: int, n: int, noise: NoisePar
                 n_excluded += 1
 
     return {
-        "half_hamming": float(dh.mean() / 2.0),
-        "lower": float(lower.mean() / 2.0),
-        "upper": float(upper.mean() / 2.0),
-        "exp_lower": max(in_below, out_above) / draws,
-        "exp_upper": min(in_at_most, out_at_least) / draws,
-        "exact": float(np.mean(dh == 0)),
+        "mean_half_hamming": float(dh.mean() / 2.0),
+        "mean_lower_bound": float(lower.mean() / 2.0),
+        "mean_upper_bound": float(upper.mean() / 2.0),
+        "exp_lower_bound": max(in_below, out_above) / draws,
+        "exp_upper_bound": min(in_at_most, out_at_least) / draws,
+        "exact_recovery_rate": float(np.mean(dh == 0)),
         "jaccard_degree": float(jac_deg.mean()),
         "jaccard_evec": (jac_evec_sum / jac_evec_cnt) if jac_evec_cnt else math.nan,
         "n_excluded": n_excluded,
@@ -322,20 +323,25 @@ def _mean_se(values: np.ndarray) -> tuple[float, float]:
     return mean, float(vals.std(ddof=1) / math.sqrt(vals.size))
 
 
+# the SummaryRow standard-error column of every per-graph mean
+_SE_FIELD = {
+    "mean_half_hamming": "se_half_hamming",
+    "mean_lower_bound": "se_lower_bound",
+    "mean_upper_bound": "se_upper_bound",
+    "exp_lower_bound": "se_exp_lower_bound",
+    "exp_upper_bound": "se_exp_upper_bound",
+    "exact_recovery_rate": "se_exact_recovery",
+    "jaccard_degree": "se_jaccard_degree",
+    "jaccard_evec": "se_jaccard_evec",
+}
+
+
 def _aggregate_cell(
     cfg: ExperimentConfig, x_value: float, n: int, noise: NoiseParams, per_graph: list[dict]
 ) -> SummaryRow:
-    def col(name: str) -> np.ndarray:
-        return np.array([pg[name] for pg in per_graph], dtype=np.float64)
-
-    mean_dh, se_dh = _mean_se(col("half_hamming"))
-    mean_lo, se_lo = _mean_se(col("lower"))
-    mean_up, se_up = _mean_se(col("upper"))
-    mean_elo, se_elo = _mean_se(col("exp_lower"))
-    mean_eup, se_eup = _mean_se(col("exp_upper"))
-    mean_ex, se_ex = _mean_se(col("exact"))
-    mean_jd, se_jd = _mean_se(col("jaccard_degree"))
-    mean_je, se_je = _mean_se(col("jaccard_evec"))
+    stats = {}
+    for name, se_name in _SE_FIELD.items():
+        stats[name], stats[se_name] = _mean_se(np.array([pg[name] for pg in per_graph], dtype=np.float64))
 
     theory = math.nan
     if cfg.theory_curve and cfg.model == "er":
@@ -349,27 +355,12 @@ def _aggregate_cell(
         n=int(n),
         alpha=float(noise.alpha),
         beta=float(noise.beta),
-        mean_half_hamming=mean_dh,
-        se_half_hamming=se_dh,
-        mean_lower_bound=mean_lo,
-        se_lower_bound=se_lo,
-        mean_upper_bound=mean_up,
-        se_upper_bound=se_up,
-        exp_lower_bound=mean_elo,
-        se_exp_lower_bound=se_elo,
-        exp_upper_bound=mean_eup,
-        se_exp_upper_bound=se_eup,
         theory_lower=theory,
-        exact_recovery_rate=mean_ex,
-        se_exact_recovery=se_ex,
-        jaccard_degree=mean_jd,
-        se_jaccard_degree=se_jd,
-        jaccard_evec=mean_je,
-        se_jaccard_evec=se_je,
         n_graphs=len(per_graph),
         n_draws=len(per_graph) * cfg.noise_draws_per_graph,
         n_excluded=int(sum(pg["n_excluded"] for pg in per_graph)),
         n_disconnected=int(sum(pg["n_disconnected"] for pg in per_graph)),
+        **stats,
     )
 
 
@@ -451,9 +442,7 @@ def run_localization(
             arr = np.asarray(vals, dtype=np.float64)
             if arr.size == 0:
                 return math.nan, math.nan, math.nan, math.nan, math.nan
-            mean, se = _mean_se(arr)
-            q10, q50, q90 = (float(v) for v in np.quantile(arr, [0.1, 0.5, 0.9]))
-            return mean, se, q10, q50, q90
+            return (*_mean_se(arr), *(float(v) for v in np.quantile(arr, [0.1, 0.5, 0.9])))
 
         xh = stats(x_h_vals)
         mo = stats(m_out_vals)
@@ -524,13 +513,7 @@ def run_figure1_profile(
         "sw": generate_small_world(n, k_ring, rewire_p, derive_seed(seed, STREAM_GRAPH, 1)),
         "pa": generate_pa(PaParams(n=n, m=pa_m, b=pa_b), derive_seed(seed, STREAM_GRAPH, 2)),
     }
-    out: dict = {
-        "n": n,
-        "mean_degree": mean_degree,
-        "alpha": noise.alpha,
-        "beta": noise.beta,
-        "models": {},
-    }
+    out: dict = {"n": n, "mean_degree": mean_degree, "alpha": noise.alpha, "beta": noise.beta, "models": {}}
     for idx, (name, g) in enumerate(models.items()):
         y = apply_noise(g, noise, derive_seed(seed, STREAM_NOISE, idx))
         dseq = degrees(g)
@@ -541,10 +524,7 @@ def run_figure1_profile(
             for rank, node in enumerate(order)
         ]
         achieved = 2.0 * g.num_edges / n
-        entry = {
-            "achieved_mean_degree": achieved,
-            "rows": rows,
-        }
+        entry = {"achieved_mean_degree": achieved, "rows": rows}
         if name == "pa":
             entry["mean_degree_note"] = (
                 f"pa m={pa_m} gives mean degree ~{achieved:.2f}, "
@@ -560,35 +540,27 @@ def run_figure1_profile(
 # ---------------------------------------------------------------- output
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def write_csv(path, header, rows) -> None:
     """Write a header and row sequences as CSV; floats keep every digit (repr)."""
     with open(path, "w", newline="", encoding="ascii") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows([_fmt(value) for value in row] for row in rows)
+        writer.writerows([repr(v) if isinstance(v, float) else str(v) for v in row] for row in rows)
 
 
 def _rows_to_csv(rows, path) -> None:
+    if not rows:
+        raise ValueError("no rows to write")
     names = [f.name for f in fields(rows[0])]
     write_csv(path, names, ([getattr(row, name) for name in names] for row in rows))
 
 
 def write_summary_csv(rows: list[SummaryRow], path) -> None:
     """Write SummaryRow records; header names match the dataclass fields."""
-    if not rows:
-        raise ValueError("no rows to write")
     _rows_to_csv(rows, path)
 
 
 def write_localization_csv(rows: list[LocalizationRow], path) -> None:
-    if not rows:
-        raise ValueError("no rows to write")
     _rows_to_csv(rows, path)
 
 

@@ -45,14 +45,38 @@ def pair_from_index(n: int, idx):
     return u, v
 
 
+def _edges_from_sorted(n: int, lin: np.ndarray) -> np.ndarray:
+    """The (m, 2) edge array of sorted linear indices, decoded by counting the indices of each row."""
+    r = np.arange(n, dtype=np.int64)
+    row_starts = r * (2 * n - r - 1) // 2
+    counts = np.diff(np.searchsorted(lin, row_starts), append=lin.size)
+    edges = np.empty((lin.size, 2), dtype=np.int64)
+    edges[:, 0] = np.repeat(r, counts)
+    # written in place: a second full-size temporary made dense draws about a third slower
+    np.subtract(lin, np.repeat(row_starts - r - 1, counts), out=edges[:, 1])
+    return edges
+
+
+# Version of the random streams behind every seeded function.  Version 2 gives each
+# consumer of a seed its own SeedSequence spawn key (PA keeps the root one, as in
+# version 1), so equal seeds never correlate a graph with its noise; flips use skips.
+STREAM_VERSION = 2
+_SPAWN_KEYS = {"pa": (), "er": (1,), "sw": (2,), "noise": (3,), "tiebreak": (4,)}
+
+
+def _stream_rng(seed: int, consumer: str) -> np.random.Generator:
+    """The generator one consumer ('er', 'pa', 'sw', 'noise', 'tiebreak') draws from for seed."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=_SPAWN_KEYS[consumer]))
+
+
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph on nodes 0..n-1 with a canonical edge array.
 
     The constructor accepts edges in any row order and orientation,
     canonicalizes them, and rejects self-loops, duplicate pairs, and
-    out-of-range endpoints.  The stored array is made read-only so
-    instances can be shared across threads and processes.
+    out-of-range endpoints.  The stored arrays (edges, and their linear pair
+    indices) are read-only so instances can be shared across threads and processes.
     """
 
     n: int
@@ -73,16 +97,17 @@ class Graph:
         lo = np.minimum(e[:, 0], e[:, 1])
         hi = np.maximum(e[:, 0], e[:, 1])
         lin = pair_index(self.n, lo, hi)
-        if lin.size and np.any(np.diff(lin) <= 0):
-            order = np.argsort(lin, kind="stable")
-            lin_sorted = lin[order]
-            if np.any(np.diff(lin_sorted) == 0):
-                raise ValueError("duplicate edges are not allowed")
-            e = np.column_stack([lo[order], hi[order]])
-        else:
-            e = np.column_stack([lo, hi])
-        e.flags.writeable = False
-        object.__setattr__(self, "edges", e)
+        order = np.argsort(lin, kind="stable")
+        lin = lin[order]
+        if np.any(np.diff(lin) == 0):
+            raise ValueError("duplicate edges are not allowed")
+        self._freeze(np.column_stack([lo[order], hi[order]]), lin)
+
+    def _freeze(self, edges: np.ndarray, lin: np.ndarray) -> None:
+        edges.flags.writeable = False
+        lin.flags.writeable = False
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "_lin", lin)
 
     @property
     def num_edges(self) -> int:
@@ -90,14 +115,16 @@ class Graph:
 
     def degree_array(self) -> np.ndarray:
         """Degree of every node, indexed by node id."""
-        return np.bincount(self.edges.ravel(), minlength=self.n)
+        # rows are sorted by their first endpoint, so its counts take one searchsorted
+        first = np.diff(np.searchsorted(self.edges[:, 0], np.arange(self.n)), append=self.num_edges)
+        return first + np.bincount(self.edges[:, 1], minlength=self.n)
 
     def edge_linear_indices(self) -> np.ndarray:
-        """Lexicographic linear index of every edge (sorted ascending)."""
-        return pair_index(self.n, self.edges[:, 0], self.edges[:, 1])
+        """Lexicographic linear index of every edge (sorted ascending, read-only)."""
+        return self._lin
 
     def edge_set(self) -> set[tuple[int, int]]:
-        return {(int(u), int(v)) for u, v in self.edges}
+        return set(zip(self.edges[:, 0].tolist(), self.edges[:, 1].tolist()))
 
     def adjacency_csr(self) -> sparse.csr_matrix:
         """Symmetric adjacency matrix in CSR form (float64)."""
@@ -117,13 +144,12 @@ class Graph:
         return out
 
     @classmethod
-    def _from_canonical(cls, n: int, edges: np.ndarray) -> "Graph":
-        # fast path for generators: caller guarantees canonical form
+    def _from_canonical(cls, n: int, edges: np.ndarray, lin: np.ndarray) -> "Graph":
+        # fast path for generators: caller guarantees canonical form and
+        # passes the matching sorted linear indices
         g = object.__new__(cls)
-        edges = np.ascontiguousarray(edges, dtype=np.int64).reshape(-1, 2)
-        edges.flags.writeable = False
         object.__setattr__(g, "n", n)
-        object.__setattr__(g, "edges", edges)
+        g._freeze(np.ascontiguousarray(edges, dtype=np.int64).reshape(-1, 2), lin)
         return g
 
 
@@ -174,31 +200,50 @@ class PaParams:
 def generate_er(n: int, p: float, seed: int) -> Graph:
     """Erdos-Renyi graph: each of the n(n-1)/2 pairs is an edge with prob p.
 
-    One uniform is drawn per pair in lexicographic pair order, so the
-    realization is reproducible bit-for-bit for a fixed seed.
+    The edges are the picks of geometric skips over the pairs in
+    lexicographic order, so the cost grows with the edge count, not with
+    n**2, and the realization is reproducible bit-for-bit for a fixed seed.
     """
     if n < 1:
         raise ValueError(f"need at least one node, got n={n}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability must lie in [0, 1], got {p}")
-    return _flip_pairs(n, np.empty(0, dtype=np.int64), p, 0.0, seed)
+    return _flip_pairs(n, np.empty(0, dtype=np.int64), p, 0.0, _stream_rng(seed, "er"))
 
 
-def _flip_pairs(n: int, present: np.ndarray, alpha: float, beta: float, seed: int) -> Graph:
-    """Flip every node pair independently, one uniform per pair in lexicographic order.
+def _skip_positions(rng: np.random.Generator, size: int, q: float) -> np.ndarray:
+    """Sorted positions in range(size), each picked independently with probability q.
 
-    present holds the sorted linear indices of the starting edges.  A
-    present edge survives when its uniform is >= beta; an absent pair
-    becomes an edge when its uniform is < alpha.
+    Draws the geometric gaps between consecutive picks (Batagelj & Brandes,
+    Phys. Rev. E 71, 2005), so the cost grows with the picks, not with size.
     """
-    rng = np.random.default_rng(seed)
-    u = rng.random(n * (n - 1) // 2)
-    kept = present[u[present] >= beta]
-    added_mask = u < alpha
-    added_mask[present] = False
-    lin = np.sort(np.concatenate([kept, np.flatnonzero(added_mask)]))
-    uu, vv = pair_from_index(n, lin)
-    return Graph._from_canonical(n, np.column_stack([uu, vv]))
+    runs = [np.empty(0, dtype=np.int64)]
+    last = -1
+    while q > 0.0 and last < size - 1:
+        expected = (size - 1 - last) * q
+        # a gap past size ends the run either way; clipping keeps the sum from overflowing
+        gaps = np.minimum(rng.geometric(q, int(expected + 4.0 * expected**0.5) + 16), size + 1)
+        picks = last + np.cumsum(gaps)
+        runs.append(picks[picks < size])
+        last = int(picks[-1])
+    return np.concatenate(runs)
+
+
+def _flip_pairs(n: int, present: np.ndarray, alpha: float, beta: float, rng: np.random.Generator) -> Graph:
+    """Flip every node pair independently: drop present edges w.p. beta, add absent pairs w.p. alpha.
+
+    present holds the sorted linear indices of the m starting edges.  Deleted
+    edges are skip picks among them, added pairs are skip picks among the
+    ranks of the absent pairs, so a draw costs O(m + alpha * n**2), not O(n**2).
+    """
+    m = present.size
+    kept = np.delete(present, _skip_positions(rng, m, beta))
+    ranks = _skip_positions(rng, n * (n - 1) // 2 - m, alpha)
+    # the absent pair of rank r lies past every present index whose own absent-rank is <= r
+    added = ranks + np.searchsorted(present - np.arange(m), ranks, side="right")
+    # a stable sort is timsort, which finds the two sorted runs and merges them in linear time
+    lin = np.sort(np.concatenate([kept, added]), kind="stable")
+    return Graph._from_canonical(n, _edges_from_sorted(n, lin), lin)
 
 
 def generate_pa(params: PaParams, seed: int) -> Graph:
@@ -218,7 +263,7 @@ def generate_pa(params: PaParams, seed: int) -> Graph:
         Graph on n nodes with C(m+1, 2) + (n - m - 1) * m edges.
     """
     n, m, b = params.n, params.m, params.b
-    rng = np.random.default_rng(seed)
+    rng = _stream_rng(seed, "pa")
 
     us, vs = np.triu_indices(m + 1, k=1)
     src = [us.astype(np.int64)]
@@ -268,7 +313,7 @@ def generate_small_world(n: int, k_ring: int, rewire_p: float, seed: int) -> Gra
     if not 0.0 <= rewire_p <= 1.0:
         raise ValueError(f"rewiring probability must lie in [0, 1], got {rewire_p}")
 
-    rng = np.random.default_rng(seed)
+    rng = _stream_rng(seed, "sw")
     adj: list[set[int]] = [set() for _ in range(n)]
     for j in range(1, k_ring // 2 + 1):
         for i in range(n):
@@ -291,15 +336,8 @@ def generate_small_world(n: int, k_ring: int, rewire_p: float, seed: int) -> Gra
             adj[i].add(w)
             adj[w].add(i)
 
-    src = []
-    dst = []
-    for i in range(n):
-        for v in adj[i]:
-            if i < v:
-                src.append(i)
-                dst.append(v)
-    edges = np.column_stack([np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)])
-    return Graph(n, edges)
+    edges = [(i, v) for i in range(n) for v in adj[i] if i < v]
+    return Graph(n, np.array(edges, dtype=np.int64).reshape(-1, 2))
 
 
 def degrees(g: Graph) -> DegreeSequence:

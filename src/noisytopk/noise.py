@@ -2,9 +2,12 @@
 
 An observed graph Y is derived from a latent graph A by flipping each
 node pair independently: an absent pair appears with probability alpha,
-a present edge disappears with probability beta.  One uniform variate is
-consumed per pair in lexicographic pair order, which makes realizations
-reproducible for a fixed seed regardless of the edge content of A.
+a present edge disappears with probability beta.  The flipped pairs are
+drawn by geometric skips over the present edges and over the absent
+pairs, so a draw costs time and memory in proportion to the edges of A
+and Y rather than to the n(n-1)/2 pairs.  Realizations are reproducible
+bit-for-bit for a fixed seed, on a stream of their own (see
+graphs.STREAM_VERSION).
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .graphs import Graph, _flip_pairs, pair_from_index
+from .graphs import Graph, _edges_from_sorted, _flip_pairs, _stream_rng
 
 __all__ = ["NoiseParams", "apply_noise", "exact_noise_distribution"]
 
@@ -43,7 +46,8 @@ def apply_noise(a: Graph, params: NoiseParams, seed: int) -> Graph:
     pairs turn into edges independently with probability alpha.  With
     alpha = beta = 0 the output equals the input exactly.
     """
-    return _flip_pairs(a.n, a.edge_linear_indices(), params.alpha, params.beta, seed)
+    rng = _stream_rng(seed, "noise")
+    return _flip_pairs(a.n, a.edge_linear_indices(), params.alpha, params.beta, rng)
 
 
 def exact_noise_distribution(
@@ -70,15 +74,9 @@ def exact_noise_distribution(
     outcomes = np.arange(total, dtype=np.int64)
     probs = np.ones(total, dtype=np.float64)
     for p in range(n_pairs):
-        bit = (outcomes >> p) & 1
-        if present[p]:
-            probs *= np.where(bit == 1, 1.0 - beta, beta)
-        else:
-            probs *= np.where(bit == 1, alpha, 1.0 - alpha)
+        edge, no_edge = (1.0 - beta, beta) if present[p] else (alpha, 1.0 - alpha)
+        probs *= np.where((outcomes >> p) & 1, edge, no_edge)
 
-    all_u, all_v = pair_from_index(n, np.arange(n_pairs, dtype=np.int64))
     for o in range(total):
-        sel = (o >> np.arange(n_pairs, dtype=np.int64)) & 1
-        idx = np.flatnonzero(sel)
-        edges = np.column_stack([all_u[idx], all_v[idx]])
-        yield Graph._from_canonical(n, edges), float(probs[o])
+        idx = np.flatnonzero((o >> np.arange(n_pairs, dtype=np.int64)) & 1)
+        yield Graph._from_canonical(n, _edges_from_sorted(n, idx), idx), float(probs[o])

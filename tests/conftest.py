@@ -1,8 +1,9 @@
 """Shared oracles and helpers for the test suite.
 
-The dense eigensolver, the exact noise enumeration statistics, and the
-quadrature normal CDF are independent reference implementations; library
-code must match them, never the other way around.
+The dense eigensolver, the dense per-pair noise sampler, the exact noise
+enumeration statistics, and the quadrature normal CDF are independent
+reference implementations; library code must match them, never the other
+way around.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from noisytopk import (
     degree_scores,
     exact_noise_distribution,
     hamming_bounds_realization,
+    pair_from_index,
 )
 
 
@@ -40,6 +42,22 @@ def dense_top2(g: Graph):
     if x[pivot] < 0:
         x = -x
     return lam1, lam2, x
+
+
+def dense_noise(g: Graph, params: NoiseParams, rng: np.random.Generator) -> Graph:
+    """Reference noise draw: one uniform per node pair in lexicographic order.
+
+    A present edge survives when its uniform is >= beta, an absent pair
+    becomes an edge when its uniform is < alpha.  This costs O(n**2) time
+    and memory, so it only checks the library's sampler in law.
+    """
+    n = g.n
+    u = rng.random(n * (n - 1) // 2)
+    present = g.edge_linear_indices()
+    added = u < params.alpha
+    added[present] = False
+    lin = np.sort(np.concatenate([present[u[present] >= params.beta], np.flatnonzero(added)]))
+    return Graph(n, np.column_stack(pair_from_index(n, lin)))
 
 
 def expected_hamming_given_outcome(noisy_degrees, true_set: frozenset, k: int) -> float:

@@ -1,12 +1,14 @@
 import argparse
 import csv
 import json
+import math
 from pathlib import Path
 
 import pytest
 
 from noisytopk import __version__
 from noisytopk.cli import build_parser, main
+from noisytopk.graphs import STREAM_VERSION, load_edge_list
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -76,6 +78,9 @@ class TestOptionSurface:
             ["generate", "er", "--n", "10", "--p", "0.5", "--out", "{d}/g.txt", "--threads", "2"],
             ["generate", "er", "--n", "10", "--p", "0.5"],
             ["perturb", "--in", "{d}/g.txt", "--alpha", "0.1", "--beta", "0.1"],
+            ["experiment", "{d}/cfg.ini", "--threads", "0"],
+            ["experiment", "{d}/cfg.ini", "--threads", "-2"],
+            ["experiment", "{d}/cfg.ini", "--threads", "two"],
         ],
     )
     def test_unregistered_or_missing_flag_is_usage_error(self, tmp_path, argv):
@@ -137,6 +142,37 @@ class TestPerturb:
         text = capsys.readouterr().out
         assert "added" in text and "deleted" in text
         assert out.exists()
+
+    @staticmethod
+    def _counts(text):
+        fields = dict(tok.split("=") for tok in text.split() if "=" in tok)
+        return int(fields["added"]), int(fields["deleted"])
+
+    def test_flip_counts_match_edge_set_differences(self, tmp_path, capsys):
+        src = _write_graph(tmp_path, n=25, p=0.4)
+        out = tmp_path / "noisy.txt"
+        capsys.readouterr()
+        code = main(["perturb", "--in", str(src), "--alpha", "0.2", "--beta", "0.3", "--seed", "4", "--out", str(out)])
+        assert code == 0
+        g, y = load_edge_list(src).edge_set(), load_edge_list(out).edge_set()
+        added, deleted = self._counts(capsys.readouterr().out)
+        assert (added, deleted) == (len(y - g), len(g - y))
+        assert added > 0 and deleted > 0
+
+    def test_default_seeds_give_the_model_flip_rates(self, tmp_path, capsys):
+        # generate and perturb both default to --seed 0; their draws must not be correlated
+        n, alpha, beta = 400, 0.05, 0.05
+        src = tmp_path / "g.txt"
+        assert main(["generate", "er", "--n", str(n), "--p", "0.3", "--out", str(src), "--quiet"]) == 0
+        capsys.readouterr()
+        code = main(["perturb", "--in", str(src), "--alpha", str(alpha), "--beta", str(beta),
+                     "--out", str(tmp_path / "noisy.txt")])
+        assert code == 0
+        added, deleted = self._counts(capsys.readouterr().out)
+        n_present = load_edge_list(src).num_edges
+        n_absent = n * (n - 1) // 2 - n_present
+        assert abs(added / n_absent - alpha) <= 4 * math.sqrt(alpha * (1 - alpha) / n_absent)
+        assert abs(deleted / n_present - beta) <= 4 * math.sqrt(beta * (1 - beta) / n_present)
 
     def test_zero_noise_is_identity(self, tmp_path):
         src = _write_graph(tmp_path)
@@ -272,6 +308,7 @@ class TestExperiment:
         doc = json.loads(base.with_suffix(".json").read_text())
         assert len(doc["rows"]) == 5
         assert doc["meta"]["experiment"] == "topk"
+        assert doc["meta"]["stream_version"] == STREAM_VERSION
 
     def test_smoke_config_recovers_exactly(self, tmp_path):
         base = tmp_path / "smoke"

@@ -1,0 +1,178 @@
+"""The geometric-skip edge-flip sampler behind generate_er and apply_noise.
+
+Its law is checked against the exact enumeration and against the dense
+per-pair oracle in conftest; its edge cases and its cost are checked
+directly.
+"""
+
+import math
+import time
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from noisytopk import (
+    Graph,
+    NoiseParams,
+    apply_noise,
+    exact_noise_distribution,
+    generate_er,
+    pair_from_index,
+    pair_index,
+)
+from noisytopk.graphs import _edges_from_sorted, _skip_positions
+from conftest import dense_noise, random_edges
+
+
+def _graph(n, edges):
+    return Graph(n=n, edges=np.array(edges, dtype=np.int64).reshape(-1, 2))
+
+
+def _complete(n):
+    return _graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+
+
+def _is_canonical(g: Graph) -> bool:
+    lin = g.edge_linear_indices()
+    return (
+        bool(np.all(g.edges[:, 0] < g.edges[:, 1]))
+        and bool(np.all(np.diff(lin) > 0))
+        and np.array_equal(lin, pair_index(g.n, g.edges[:, 0], g.edges[:, 1]))
+    )
+
+
+TOY_GRAPHS = {
+    "empty-4": _graph(4, []),
+    "complete-4": _complete(4),
+    "path-4": _graph(4, [[0, 1], [1, 2], [2, 3]]),
+    "star-5": _graph(5, [[0, 1], [0, 2], [0, 3], [0, 4]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TOY_GRAPHS))
+def test_histogram_matches_exact_distribution(name):
+    g = TOY_GRAPHS[name]
+    params = NoiseParams(0.3, 0.2)
+    exact = {frozenset(map(tuple, y.edges.tolist())): p for y, p in exact_noise_distribution(g, params)}
+    reps = 6000
+    counts = dict.fromkeys(exact, 0)
+    for r in range(reps):
+        counts[frozenset(map(tuple, apply_noise(g, params, seed=r).edges.tolist()))] += 1
+    for key, p in exact.items():
+        se = math.sqrt(p * (1 - p) / reps)
+        assert abs(counts[key] / reps - p) <= 5 * se + 1.0 / reps, (sorted(key), counts[key] / reps, p)
+
+
+@pytest.mark.parametrize(("n", "density", "alpha", "beta"), [(60, 0.3, 0.05, 0.1), (120, 0.05, 0.002, 0.5)])
+def test_agrees_with_dense_oracle_in_law(n, density, alpha, beta):
+    g = random_edges(np.random.default_rng(n), n, density)
+    params = NoiseParams(alpha, beta)
+    reps = 1500
+    oracle_rng = np.random.default_rng(7)
+    ours = np.array([apply_noise(g, params, seed=r).num_edges for r in range(reps)], dtype=float)
+    dense = np.array([dense_noise(g, params, oracle_rng).num_edges for _ in range(reps)], dtype=float)
+    se = math.sqrt(ours.var(ddof=1) / reps + dense.var(ddof=1) / reps)
+    assert abs(ours.mean() - dense.mean()) <= 4 * se
+    n_pairs = n * (n - 1) // 2
+    expected = g.num_edges * (1 - beta) + (n_pairs - g.num_edges) * alpha
+    assert abs(ours.mean() - expected) <= 4 * ours.std(ddof=1) / math.sqrt(reps)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0])
+@pytest.mark.parametrize("beta", [0.0, 1.0])
+def test_degenerate_rates_are_deterministic(alpha, beta):
+    g = generate_er(30, 0.3, seed=4)
+    y = apply_noise(g, NoiseParams(alpha, beta), seed=11)
+    present = g.edge_set()
+    absent = _complete(30).edge_set() - present
+    want = (present if beta == 0.0 else set()) | (absent if alpha == 1.0 else set())
+    assert y.edge_set() == want
+    assert _is_canonical(y)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.4, 1.0])
+@pytest.mark.parametrize("beta", [0.0, 0.4, 1.0])
+def test_one_and_two_node_graphs(alpha, beta):
+    params = NoiseParams(alpha, beta)
+    assert apply_noise(_graph(1, []), params, seed=0).num_edges == 0
+    assert generate_er(1, alpha, seed=0).num_edges == 0
+    for edges in ([], [[0, 1]]):
+        for seed in range(10):
+            y = apply_noise(_graph(2, edges), params, seed=seed)
+            assert y.num_edges in (0, 1) and _is_canonical(y)
+            if (edges and beta == 0.0) or (not edges and alpha == 1.0):
+                assert y.num_edges == 1
+            if (edges and beta == 1.0) or (not edges and alpha == 0.0):
+                assert y.num_edges == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=60),
+    density=st.floats(min_value=0.0, max_value=1.0),
+    alpha=st.floats(min_value=0.0, max_value=1.0),
+    beta=st.floats(min_value=0.0, max_value=1.0),
+    seed=st.integers(min_value=0, max_value=2**63),
+)
+def test_output_is_canonical_and_flips_only_what_it_may(n, density, alpha, beta, seed):
+    g = random_edges(np.random.default_rng(seed % 1000), n, density)
+    present = g.edge_set()
+    kept_only = apply_noise(g, NoiseParams(0.0, beta), seed)
+    added_only = apply_noise(g, NoiseParams(alpha, 0.0), seed)
+    both = apply_noise(g, NoiseParams(alpha, beta), seed)
+    assert _is_canonical(kept_only) and _is_canonical(added_only) and _is_canonical(both)
+    assert kept_only.edge_set() <= present
+    assert added_only.edge_set() >= present
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=200_000),
+    data=st.data(),
+)
+def test_pair_index_round_trip(n, data):
+    n_pairs = n * (n - 1) // 2
+    idx = np.array(
+        data.draw(st.lists(st.integers(min_value=0, max_value=max(n_pairs - 1, 0)), max_size=50 if n_pairs else 0)),
+        dtype=np.int64,
+    )
+    u, v = pair_from_index(n, idx)
+    assert np.all((0 <= u) & (u < v) & (v < n))
+    assert np.array_equal(pair_index(n, u, v), idx)
+    # the sampler's decoder counts the indices of each row of a sorted run
+    lin = np.unique(idx)
+    edges = _edges_from_sorted(n, lin)
+    assert edges.shape == (lin.size, 2)
+    assert np.array_equal(edges, np.column_stack(pair_from_index(n, lin)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    size=st.integers(min_value=0, max_value=5000),
+    q=st.sampled_from([0.0, 1e-12, 1e-3, 0.2, 0.5, 0.99, 1.0]),
+    seed=st.integers(min_value=0, max_value=2**32),
+)
+def test_skip_positions_are_sorted_distinct_and_in_range(size, q, seed):
+    pos = _skip_positions(np.random.default_rng(seed), size, q)
+    assert pos.dtype == np.int64
+    assert np.all(np.diff(pos) > 0)
+    assert pos.size == 0 or (pos[0] >= 0 and pos[-1] < size)
+    if q == 1.0:
+        assert np.array_equal(pos, np.arange(size))
+    if q == 0.0:
+        assert pos.size == 0
+
+
+def test_large_sparse_graph_needs_no_per_pair_array():
+    # P is about 5e9 here: a per-pair array would take tens of gigabytes
+    n = 100_000
+    path = _graph(n, np.column_stack([np.arange(n - 1), np.arange(1, n)]))
+    started = time.perf_counter()
+    y = apply_noise(path, NoiseParams(1e-7, 0.01), seed=3)
+    took = time.perf_counter() - started
+    assert took < 5.0
+    assert _is_canonical(y)
+    expected = (n - 1) * 0.99 + (n * (n - 1) // 2 - (n - 1)) * 1e-7
+    assert abs(y.num_edges - expected) <= 4 * math.sqrt(expected)
