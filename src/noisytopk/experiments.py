@@ -155,6 +155,8 @@ class ExperimentConfig:
         n_min = self.n_grid[0] if self.n_grid else int(self.model_params["n"])
         if self.k >= n_min:
             raise ValueError(f"need k < n at every grid point, got k={self.k}, smallest n={n_min}")
+        if self.model == "pa":  # fail before any graph is drawn, not in the first worker
+            PaParams(n=n_min, m=int(self.model_params["m"]), b=float(self.model_params.get("b", 1.0)))
         if self.theory_curve and self.model != "er":
             raise ValueError("theory_curve is defined for the er model only")
 

@@ -94,8 +94,7 @@ class Graph:
             raise ValueError("edge endpoint out of range")
         if np.any(e[:, 0] == e[:, 1]):
             raise ValueError("self-loops are not allowed")
-        lo = np.minimum(e[:, 0], e[:, 1])
-        hi = np.maximum(e[:, 0], e[:, 1])
+        lo, hi = np.minimum(e[:, 0], e[:, 1]), np.maximum(e[:, 0], e[:, 1])
         lin = pair_index(self.n, lo, hi)
         order = np.argsort(lin, kind="stable")
         lin = lin[order]
@@ -128,20 +127,15 @@ class Graph:
 
     def adjacency_csr(self) -> sparse.csr_matrix:
         """Symmetric adjacency matrix in CSR form (float64)."""
-        m = self.num_edges
-        if m == 0:
-            return sparse.csr_matrix((self.n, self.n), dtype=np.float64)
         rows = np.concatenate([self.edges[:, 0], self.edges[:, 1]])
         cols = np.concatenate([self.edges[:, 1], self.edges[:, 0]])
-        data = np.ones(2 * m, dtype=np.float64)
+        data = np.ones(2 * self.num_edges, dtype=np.float64)
         return sparse.csr_matrix((data, (rows, cols)), shape=(self.n, self.n))
 
     def neighbors(self, i: int) -> np.ndarray:
         """Sorted neighbor ids of node i."""
         e = self.edges
-        out = np.concatenate([e[e[:, 0] == i, 1], e[e[:, 1] == i, 0]])
-        out.sort()
-        return out
+        return np.sort(np.concatenate([e[e[:, 0] == i, 1], e[e[:, 1] == i, 0]]))
 
     @classmethod
     def _from_canonical(cls, n: int, edges: np.ndarray, lin: np.ndarray) -> "Graph":
@@ -193,8 +187,9 @@ class PaParams:
             raise ValueError(f"m must be a positive integer, got {self.m}")
         if self.n < self.m + 1:
             raise ValueError(f"need n >= m+1, got n={self.n}, m={self.m}")
-        if not self.b > -1:
-            raise ValueError(f"attachment offset must exceed -1, got {self.b}")
+        # an infinite total weight would send every draw to one node and reject it forever
+        if not (self.b > -1 and np.isfinite(self.n * (2 * self.m + self.b))):
+            raise ValueError(f"attachment offset must exceed -1 and keep n*(2m+b) finite, got {self.b}")
 
 
 def generate_er(n: int, p: float, seed: int) -> Graph:
@@ -253,7 +248,11 @@ def generate_pa(params: PaParams, seed: int) -> Graph:
     attaches to m distinct existing nodes, sampled sequentially without
     replacement with probability proportional to degree + b, where degrees
     are frozen at the start of step t (edges added within the step do not
-    update the weights).
+    update the weights).  Each draw descends a Fenwick tree of the weights
+    (Fenwick 1994), so a graph costs O(n * m * log n).  For b a multiple of a
+    power of two every partial sum is exact and the realization equals a
+    cumulative-sum scan's; otherwise only a uniform within rounding of a
+    weight boundary can pick another node.
 
     Args:
         params: node count n, edges per new node m, attachment offset b > -1.
@@ -264,34 +263,34 @@ def generate_pa(params: PaParams, seed: int) -> Graph:
     """
     n, m, b = params.n, params.m, params.b
     rng = _stream_rng(seed, "pa")
+    # Fenwick slot i sums the weights of nodes i - (i & -i) .. i - 1; at first only the m+1 seed nodes weigh
+    tree = [(m + b) * max(0, min(i, m + 1) - i + (i & -i)) for i in range(n + 1)]
 
-    us, vs = np.triu_indices(m + 1, k=1)
-    src = [us.astype(np.int64)]
-    dst = [vs.astype(np.int64)]
-    deg = np.zeros(n, dtype=np.int64)
-    deg[: m + 1] = m
+    def add(i: int, w: float) -> None:
+        i += 1
+        while i <= n:
+            tree[i] += w
+            i += i & -i
 
+    total, top, uniforms, targets = (m + 1) * (m + b), 1 << (n.bit_length() - 1), [], []
     for t in range(m + 1, n):
-        # weights frozen at step start; rejection keeps the draw
-        # conditioned on "not already chosen", i.e. sequential sampling
-        # without replacement
-        cum = np.cumsum(deg[:t] + b, dtype=np.float64)
-        total = cum[-1]
         chosen: list[int] = []
-        taken: set[int] = set()
-        while len(chosen) < m:
-            j = int(np.searchsorted(cum, rng.random() * total, side="right"))
-            if j not in taken:
-                taken.add(j)
+        while len(chosen) < m:  # rejecting repeats samples without replacement
+            uniforms = uniforms or rng.random(4096).tolist()[::-1]
+            x, j, acc, step = uniforms.pop() * total, 0, 0.0, top
+            while step:  # compare exact prefix sums with x (subtracting from x would round); stay below t
+                if (k := j + step) < t and (s := acc + tree[k]) <= x:
+                    j, acc = k, s
+                step >>= 1
+            if j not in chosen:
                 chosen.append(j)
-        targets = np.array(chosen, dtype=np.int64)
-        deg[targets] += 1
-        deg[t] = m
-        src.append(targets)
-        dst.append(np.full(m, t, dtype=np.int64))
-
-    edges = np.column_stack([np.concatenate(src), np.concatenate(dst)])
-    return Graph(n, edges)
+        for j in chosen:
+            add(j, 1.0)
+        add(t, m + b)
+        total += 2 * m + b
+        targets += chosen
+    rest = np.column_stack([np.array(targets, dtype=np.int64), np.repeat(np.arange(m + 1, n), m)])
+    return Graph(n, np.concatenate([np.column_stack(np.triu_indices(m + 1, k=1)), rest]))
 
 
 def generate_small_world(n: int, k_ring: int, rewire_p: float, seed: int) -> Graph:
@@ -351,8 +350,7 @@ def save_edge_list(g: Graph, path) -> None:
     """Write g as a text edge list: header line '# n=<N>', then 'u v' rows, u < v."""
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"# n={g.n}\n")
-        for u, v in g.edges:
-            fh.write(f"{u} {v}\n")
+        np.savetxt(fh, g.edges, fmt="%d")
 
 
 def load_edge_list(path) -> Graph:

@@ -1,9 +1,9 @@
 """Shared oracles and helpers for the test suite.
 
-The dense eigensolver, the dense per-pair noise sampler, the exact noise
-enumeration statistics, and the quadrature normal CDF are independent
-reference implementations; library code must match them, never the other
-way around.
+The dense eigensolver, the dense per-pair noise sampler, the cumulative-sum
+preferential attachment loop, the exact noise enumeration statistics, and
+the quadrature normal CDF are independent reference implementations;
+library code must match them, never the other way around.
 """
 
 from __future__ import annotations
@@ -17,11 +17,13 @@ import scipy.linalg
 from noisytopk import (
     Graph,
     NoiseParams,
+    PaParams,
     degree_scores,
     exact_noise_distribution,
     hamming_bounds_realization,
     pair_from_index,
 )
+from noisytopk.graphs import _stream_rng
 
 
 def dense_top2(g: Graph):
@@ -58,6 +60,35 @@ def dense_noise(g: Graph, params: NoiseParams, rng: np.random.Generator) -> Grap
     added[present] = False
     lin = np.sort(np.concatenate([present[u[present] >= params.beta], np.flatnonzero(added)]))
     return Graph(n, np.column_stack(pair_from_index(n, lin)))
+
+
+def dense_pa(params: PaParams, seed: int) -> Graph:
+    """Reference preferential attachment: a fresh cumulative sum of deg + b per arrival.
+
+    Draws one scalar uniform per attempt from the same stream as
+    generate_pa and takes the first node whose cumulative weight exceeds
+    u * total, rejecting repeats within a step.  This costs O(n**2), so it
+    only checks the library's sampler on small and medium n.
+    """
+    n, m, b = params.n, params.m, params.b
+    rng = _stream_rng(seed, "pa")
+    us, vs = np.triu_indices(m + 1, k=1)
+    src, dst = [us.astype(np.int64)], [vs.astype(np.int64)]
+    deg = np.zeros(n, dtype=np.int64)
+    deg[: m + 1] = m
+    for t in range(m + 1, n):
+        cum = np.cumsum(deg[:t] + b, dtype=np.float64)
+        chosen: list[int] = []
+        while len(chosen) < m:
+            j = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
+            if j not in chosen:
+                chosen.append(j)
+        targets = np.array(chosen, dtype=np.int64)
+        deg[targets] += 1
+        deg[t] = m
+        src.append(targets)
+        dst.append(np.full(m, t, dtype=np.int64))
+    return Graph(n, np.column_stack([np.concatenate(src), np.concatenate(dst)]))
 
 
 def expected_hamming_given_outcome(noisy_degrees, true_set: frozenset, k: int) -> float:

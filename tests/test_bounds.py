@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noisytopk import (
     EvecBound,
@@ -305,6 +307,30 @@ class TestHammingBounds:
         true_set = TopKSet(k=2, members=frozenset({3, 4}), tie_broken=False)
         with pytest.raises(ValueError):
             hamming_bounds_realization(true_set, scores, 3)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_sandwich_holds_for_every_k_and_tie_break(self, data):
+        # scores in 0..3 tie heavily; the extreme tie-breaks bracket every other one
+        n = data.draw(st.integers(2, 25))
+        ints = st.lists(st.integers(0, 3), min_size=n, max_size=n)
+        true_scores = ScoreVector(np.array(data.draw(ints), dtype=float), "degree")
+        noisy = ScoreVector(np.array(data.draw(ints), dtype=float), "degree")
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        s = noisy.scores
+        for k in range(1, n):
+            true_set = top_k(true_scores, k, seed)
+            hb = hamming_bounds_realization(true_set, noisy, k)
+            cutoff = np.partition(s, n - k)[n - k]
+            above = set(np.flatnonzero(s > cutoff).tolist())
+            tied = np.flatnonzero(s == cutoff).tolist()
+            tied_in = [i for i in tied if i in true_set.members]
+            tied_out = [i for i in tied if i not in true_set.members]
+            slots = k - len(above)
+            picks = [above | set((tied_in + tied_out)[:slots]), above | set((tied_out + tied_in)[:slots])]
+            dists = [2 * k - 2 * len(true_set.members & p) for p in picks]
+            dists.append(hamming(true_set, top_k(noisy, k, seed + 1)))
+            assert all(hb.lower <= d <= hb.upper for d in dists), (k, hb, dists)
 
     def test_sandwich_at_both_admissible_thresholds(self):
         # the realized Hamming distance stays inside the bracket for the

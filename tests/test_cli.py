@@ -125,6 +125,13 @@ class TestGenerate:
         assert code == 0
         assert out.exists()
 
+    def test_pa_infinite_offset_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "pa.txt"
+        code = main(["generate", "pa", "--n", "10", "--m", "2", "--b", "inf", "--out", str(out)])
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_invalid_parameter_value(self, tmp_path, capsys):
         code = main(["generate", "er", "--n", "20", "--p", "1.5", "--out", str(tmp_path / "g.txt")])
         assert code == 2
@@ -322,6 +329,19 @@ class TestExperiment:
         assert row["mean_half_hamming"] == "0.0"
         assert row["jaccard_degree"] == "1.0"
         assert row["jaccard_evec"] == "1.0"
+
+    def test_pa_infinite_offset_fails_before_output(self, tmp_path, capsys):
+        cfg_path = tmp_path / "pa_inf.ini"
+        cfg_path.write_text(
+            "[run]\ntype = topk\n[model]\nkind = pa\nm = 2\nb = inf\n[grid]\nn_grid = 20 40\n"
+            "[noise]\nalpha = 0.05\nbeta = 0.05\n[mc]\nk = 2\ngraphs = 1\ndraws = 1\n"
+        )
+        base = tmp_path / "res"
+        code = main(["experiment", str(cfg_path), "--out", str(base)])
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
+        assert not base.with_suffix(".csv").exists()
+        assert not base.with_suffix(".json").exists()
 
     def test_missing_config_is_io_error(self, tmp_path, capsys):
         code = main(["experiment", str(tmp_path / "absent.ini")])

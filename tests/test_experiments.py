@@ -215,6 +215,27 @@ class TestRunTopkExperiment:
         parallel = run_topk_experiment(cfg, threads=3)
         assert serial == parallel
 
+    def test_threads_give_identical_pa_rows(self):
+        cfg = ExperimentConfig(
+            model="pa",
+            model_params={"m": 3, "b": 1.0},
+            k=3,
+            graphs_per_point=3,
+            noise_draws_per_graph=3,
+            seed_root=21,
+            alpha=NoiseSchedule.constant(0.05),
+            beta=NoiseSchedule.constant(0.05),
+            n_grid=(60, 200),
+        )
+        # repr compares every float bit for bit, NaN included
+        assert repr(run_topk_experiment(cfg, threads=2)) == repr(run_topk_experiment(cfg, threads=1))
+
+    def test_pa_params_validated_up_front(self):
+        with pytest.raises(ValueError, match="finite"):
+            _base_cfg(model="pa", model_params={"m": 2, "b": math.inf})
+        with pytest.raises(ValueError, match="n >= m"):
+            _base_cfg(model="pa", model_params={"m": 25})
+
     def test_seed_root_changes_results(self):
         rows_a = run_topk_experiment(_base_cfg(seed_root=1))
         rows_b = run_topk_experiment(_base_cfg(seed_root=2))
@@ -254,6 +275,11 @@ class TestRunJaccardComparison:
         for row in rows:
             assert 0.0 <= row.jaccard_degree <= 1.0
             assert 0.0 <= row.jaccard_evec <= 1.0 or math.isnan(row.jaccard_evec)
+
+    def test_threads_give_identical_rows(self):
+        kw = dict(n=60, m=2, k=3, noise_grid=(NoiseParams(0.02, 0.05),), graphs=3, draws=2, seed_root=17)
+        serial = run_jaccard_comparison(**kw, threads=1)
+        assert repr(run_jaccard_comparison(**kw, threads=2)) == repr(serial)
 
 
 class TestRunFigure1Profile:

@@ -1,8 +1,11 @@
 import math
+import time
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from noisytopk import (
     DegreeSequence,
@@ -17,7 +20,7 @@ from noisytopk import (
     pair_index,
     save_edge_list,
 )
-from conftest import hill_tail_exponent
+from conftest import dense_pa, hill_tail_exponent
 
 
 def _graph(n, edges):
@@ -44,7 +47,48 @@ class TestPairIndexing:
         assert idx == sorted(idx)
 
 
+@st.composite
+def _edge_sets(draw):
+    """(n, canonical edge array, the same edges shuffled and with random orientations)."""
+    n = draw(st.integers(2, 30))
+    lin = draw(st.sets(st.integers(0, n * (n - 1) // 2 - 1), max_size=60))
+    canon = np.column_stack(pair_from_index(n, np.array(sorted(lin), dtype=np.int64))).reshape(-1, 2)
+    order = draw(st.permutations(range(len(lin))))
+    flip = np.array(draw(st.lists(st.booleans(), min_size=len(lin), max_size=len(lin))), dtype=bool)
+    mixed = canon[list(order)]
+    mixed = np.where(flip[:, None], mixed[:, ::-1], mixed)
+    return n, canon, mixed
+
+
 class TestGraphType:
+    @settings(max_examples=150, deadline=None)
+    @given(case=_edge_sets())
+    def test_any_row_order_and_orientation_canonicalizes(self, case):
+        n, canon, mixed = case
+        a, b = Graph(n, canon), Graph(n, mixed)
+        assert np.array_equal(a.edges, canon)
+        assert np.array_equal(b.edges, canon)
+        assert np.array_equal(b.edge_linear_indices(), a.edge_linear_indices())
+        assert np.array_equal(a.edge_linear_indices(), pair_index(n, canon[:, 0], canon[:, 1]))
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_edge_sets(), kind=st.sampled_from(["duplicate", "self-loop", "out-of-range"]), data=st.data())
+    def test_bad_row_is_rejected(self, case, kind, data):
+        n, _, mixed = case
+        if kind == "duplicate":
+            assume(len(mixed) > 0)
+            u, v = mixed[data.draw(st.integers(0, len(mixed) - 1))]
+            bad = data.draw(st.sampled_from([(u, v), (v, u)]))
+        elif kind == "self-loop":
+            i = data.draw(st.integers(0, n - 1))
+            bad = (i, i)
+        else:
+            i = data.draw(st.integers(0, n - 1))
+            bad = data.draw(st.sampled_from([(i, n), (n + 5, i), (-1, i)]))
+        rows = np.insert(mixed, data.draw(st.integers(0, len(mixed))), bad, axis=0)
+        with pytest.raises(ValueError):
+            Graph(n, rows)
+
     def test_canonicalizes_unsorted_and_swapped_edges(self):
         g = _graph(4, [[2, 1], [0, 3], [0, 1]])
         assert [tuple(e) for e in g.edges] == [(0, 1), (0, 3), (1, 2)]
@@ -144,6 +188,38 @@ class TestPreferentialAttachment:
             PaParams(n=5, m=0, b=1.0)
         with pytest.raises(ValueError):
             PaParams(n=5, m=1, b=-1.0)
+
+    @pytest.mark.parametrize("b", [math.inf, -math.inf, math.nan, 1e307])
+    def test_rejects_non_finite_total_weight(self, b):
+        # an infinite total weight sent every draw to one node and looped forever
+        with pytest.raises(ValueError, match="finite"):
+            PaParams(n=100, m=2, b=b)
+
+    # powers of two and their neighbours put the Fenwick descent's top bit on its edge
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.one_of(st.integers(2, 300), st.sampled_from([2**e + d for e in range(1, 9) for d in (-1, 0, 1)])),
+        m=st.integers(1, 6),
+        b=st.sampled_from([-0.5, 0.0, 0.5, 1.0, 2.25]),
+        seed=st.integers(0, 2**63 - 1),
+    )
+    def test_matches_cumsum_oracle(self, n, m, b, seed):
+        params = PaParams(n=max(n, m + 1), m=m, b=b)
+        assert np.array_equal(generate_pa(params, seed).edges, dense_pa(params, seed).edges)
+
+    @pytest.mark.parametrize("seed", [0, 20201])
+    def test_matches_cumsum_oracle_at_ten_thousand_nodes(self, seed):
+        params = PaParams(n=10_000, m=5, b=1.0)
+        assert np.array_equal(generate_pa(params, seed).edges, dense_pa(params, seed).edges)
+
+    def test_hundred_thousand_nodes_is_fast(self):
+        # a cumulative-sum scan per arrival is O(n**2): about 45 s at this size on a 2-core x86 VM
+        n, m = 100_000, 2
+        start = time.perf_counter()
+        g = generate_pa(PaParams(n=n, m=m, b=1.0), seed=3)
+        elapsed = time.perf_counter() - start
+        assert g.num_edges == m * (m + 1) // 2 + (n - m - 1) * m
+        assert elapsed < 10.0, f"generate_pa took {elapsed:.1f}s at n={n}"
 
     def test_power_law_tail_exponent(self):
         # linear attachment with offset b has CCDF exponent 3 + b/m
