@@ -27,7 +27,7 @@ from scipy.sparse.csgraph import connected_components
 from .bounds import er_expected_hamming_lower_bound, hamming_bounds_realization
 from .centrality import ScoreVector, _leading_eigenpair, degree_scores, hamming, jaccard, leading_eigenvector, top_k
 from .graphs import Graph, PaParams, degrees, generate_er, generate_pa, generate_small_world
-from .noise import NoiseParams, apply_noise
+from .noise import NoiseParams, apply_noise, noisy_degree_array
 
 __all__ = [
     "NoiseSchedule",
@@ -260,29 +260,23 @@ def _run_one_graph(cfg: ExperimentConfig, cell_idx: int, n: int, noise: NoisePar
             evec_true_ok = True
             s_k_evec = top_k(ScoreVector(x, "eigenvector"), k, tie_seed)
 
-    dh = np.empty(draws)
-    lower = np.empty(draws)
-    upper = np.empty(draws)
-    jac_deg = np.empty(draws)
-    jac_evec_sum = 0.0
-    jac_evec_cnt = 0
-    n_excluded = 0
-    n_disconnected = 0
+    dh, lower, upper, jac_deg = (np.empty(draws) for _ in range(4))
+    jac_evec_sum, jac_evec_cnt, n_excluded, n_disconnected = 0.0, 0, 0, 0
     in_below = in_at_most = out_above = out_at_least = 0
 
     for r in range(draws):
-        y = apply_noise(g, noise, derive_seed(cfg.seed_root, STREAM_NOISE, cell_idx, graph_idx, r))
-        noisy = degree_scores(y)
+        seed = derive_seed(cfg.seed_root, STREAM_NOISE, cell_idx, graph_idx, r)
+        # the eigensolve needs the noisy graph; degree centrality needs only its degrees
+        y = apply_noise(g, noise, seed) if want_evec else None
+        noisy_deg = y.degree_array() if want_evec else noisy_degree_array(g, noise, seed)
+        noisy = ScoreVector(noisy_deg.astype(np.float64), "degree")
         s_tilde = top_k(noisy, k, tie_seed)
         d = hamming(s_k, s_tilde)
         hb = hamming_bounds_realization(s_k, noisy, k)
         # the sandwich holds deterministically for every draw; a violation is a bug
         if not hb.lower <= d <= hb.upper:
             raise RuntimeError(f"Hamming sandwich violated: {hb.lower} <= {d} <= {hb.upper} fails")
-        dh[r] = d
-        lower[r] = hb.lower
-        upper[r] = hb.upper
-        jac_deg[r] = jaccard(s_k, s_tilde)
+        dh[r], lower[r], upper[r], jac_deg[r] = d, hb.lower, hb.upper, jaccard(s_k, s_tilde)
         in_below += hb.in_below
         in_at_most += hb.in_at_most
         out_above += hb.out_above
@@ -517,13 +511,11 @@ def run_figure1_profile(
     }
     out: dict = {"n": n, "mean_degree": mean_degree, "alpha": noise.alpha, "beta": noise.beta, "models": {}}
     for idx, (name, g) in enumerate(models.items()):
-        y = apply_noise(g, noise, derive_seed(seed, STREAM_NOISE, idx))
+        noisy_deg = noisy_degree_array(g, noise, derive_seed(seed, STREAM_NOISE, idx))
         dseq = degrees(g)
-        noisy_deg = y.degree_array()
-        order = dseq.order
         rows = [
             (rank + 1, int(node), int(dseq.degrees[node]), int(noisy_deg[node]))
-            for rank, node in enumerate(order)
+            for rank, node in enumerate(dseq.order)
         ]
         achieved = 2.0 * g.num_edges / n
         entry = {"achieved_mean_degree": achieved, "rows": rows}

@@ -113,10 +113,14 @@ class Graph:
         return self.edges.shape[0]
 
     def degree_array(self) -> np.ndarray:
-        """Degree of every node, indexed by node id."""
-        # rows are sorted by their first endpoint, so its counts take one searchsorted
-        first = np.diff(np.searchsorted(self.edges[:, 0], np.arange(self.n)), append=self.num_edges)
-        return first + np.bincount(self.edges[:, 1], minlength=self.n)
+        """Degree of every node, indexed by node id (counted on the first call, read-only)."""
+        if (deg := self.__dict__.get("_deg")) is None:
+            # rows are sorted by their first endpoint, so its counts take one searchsorted
+            first = np.diff(np.searchsorted(self.edges[:, 0], np.arange(self.n)), append=self.num_edges)
+            deg = first + np.bincount(self.edges[:, 1], minlength=self.n)
+            deg.flags.writeable = False
+            object.__setattr__(self, "_deg", deg)
+        return deg
 
     def edge_linear_indices(self) -> np.ndarray:
         """Lexicographic linear index of every edge (sorted ascending, read-only)."""
@@ -224,20 +228,26 @@ def _skip_positions(rng: np.random.Generator, size: int, q: float) -> np.ndarray
     return np.concatenate(runs)
 
 
-def _flip_pairs(n: int, present: np.ndarray, alpha: float, beta: float, rng: np.random.Generator) -> Graph:
-    """Flip every node pair independently: drop present edges w.p. beta, add absent pairs w.p. alpha.
+def _flip_picks(n: int, present: np.ndarray, alpha: float, beta: float, rng: np.random.Generator):
+    """The pairs one flip of every node pair changes: (deleted positions into present, added linear indices).
 
     present holds the sorted linear indices of the m starting edges.  Deleted
-    edges are skip picks among them, added pairs are skip picks among the
-    ranks of the absent pairs, so a draw costs O(m + alpha * n**2), not O(n**2).
+    edges are skip picks among them (beta), added pairs are skip picks among
+    the ranks of the absent pairs (alpha), both sorted, so a draw costs
+    O(m + alpha * n**2), not O(n**2).
     """
     m = present.size
-    kept = np.delete(present, _skip_positions(rng, m, beta))
+    deleted = _skip_positions(rng, m, beta)
     ranks = _skip_positions(rng, n * (n - 1) // 2 - m, alpha)
     # the absent pair of rank r lies past every present index whose own absent-rank is <= r
-    added = ranks + np.searchsorted(present - np.arange(m), ranks, side="right")
+    return deleted, ranks + np.searchsorted(present - np.arange(m), ranks, side="right")
+
+
+def _flip_pairs(n: int, present: np.ndarray, alpha: float, beta: float, rng: np.random.Generator) -> Graph:
+    """The graph on n nodes after the flips of :func:`_flip_picks` on the edges present."""
+    deleted, added = _flip_picks(n, present, alpha, beta, rng)
     # a stable sort is timsort, which finds the two sorted runs and merges them in linear time
-    lin = np.sort(np.concatenate([kept, added]), kind="stable")
+    lin = np.sort(np.concatenate([np.delete(present, deleted), added]), kind="stable")
     return Graph._from_canonical(n, _edges_from_sorted(n, lin), lin)
 
 

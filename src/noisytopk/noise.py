@@ -7,7 +7,9 @@ drawn by geometric skips over the present edges and over the absent
 pairs, so a draw costs time and memory in proportion to the edges of A
 and Y rather than to the n(n-1)/2 pairs.  Realizations are reproducible
 bit-for-bit for a fixed seed, on a stream of their own (see
-graphs.STREAM_VERSION).
+graphs.STREAM_VERSION).  Where only degrees are read, noisy_degree_array
+takes the same flips without building Y and is bit-identical to
+apply_noise(a, params, seed).degree_array().
 """
 
 from __future__ import annotations
@@ -17,9 +19,9 @@ from typing import Iterator
 
 import numpy as np
 
-from .graphs import Graph, _edges_from_sorted, _flip_pairs, _stream_rng
+from .graphs import Graph, _edges_from_sorted, _flip_pairs, _flip_picks, _stream_rng
 
-__all__ = ["NoiseParams", "apply_noise", "exact_noise_distribution"]
+__all__ = ["NoiseParams", "apply_noise", "noisy_degree_array", "exact_noise_distribution"]
 
 # exact enumeration is exponential in the pair count; keep it to toy sizes
 MAX_EXACT_PAIRS = 20
@@ -48,6 +50,14 @@ def apply_noise(a: Graph, params: NoiseParams, seed: int) -> Graph:
     """
     rng = _stream_rng(seed, "noise")
     return _flip_pairs(a.n, a.edge_linear_indices(), params.alpha, params.beta, rng)
+
+
+def noisy_degree_array(a: Graph, params: NoiseParams, seed: int) -> np.ndarray:
+    """The degrees of apply_noise(a, params, seed), from its flips alone: no noisy Graph is built."""
+    rng = _stream_rng(seed, "noise")
+    deleted, added = _flip_picks(a.n, a.edge_linear_indices(), params.alpha, params.beta, rng)
+    gained = np.bincount(_edges_from_sorted(a.n, added).ravel(), minlength=a.n)
+    return a.degree_array() + gained - np.bincount(a.edges[deleted].ravel(), minlength=a.n)
 
 
 def exact_noise_distribution(
