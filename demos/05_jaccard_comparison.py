@@ -8,7 +8,7 @@ degrade together: the eigenvector ranking is about as stable as the
 degree ranking on these hub-dominated graphs, at many times the cost.
 """
 
-from noisytopk import NoiseParams, run_jaccard_comparison
+from noisytopk import ExperimentConfig, NoiseParams, run_topk_experiment
 
 N = 400
 M = 3
@@ -17,9 +17,18 @@ GRID = (NoiseParams(0.01, 0.01), NoiseParams(0.05, 0.05), NoiseParams(0.12, 0.12
 
 
 def main():
-    rows = run_jaccard_comparison(
-        n=N, m=M, k=K, noise_grid=GRID, graphs=20, draws=20, seed_root=4500
+    # degree and eigenvector centrality ("both") on every draw of the topk harness
+    cfg = ExperimentConfig(
+        model="pa",
+        model_params={"n": N, "m": M, "b": 1.0},
+        k=K,
+        graphs_per_point=20,
+        noise_draws_per_graph=20,
+        seed_root=4500,
+        noise_grid=GRID,
+        centrality="both",
     )
+    rows = run_topk_experiment(cfg)
 
     print(f"PA(n={N}, m={M}, b=1), k={K}, 20 graphs x 20 draws per cell")
     print()

@@ -4,10 +4,10 @@ Subcommands: generate, perturb, centrality, bounds, experiment.
 Exit codes: 0 success, 2 usage or validation error, 3 runtime failure
 (I/O problems, exhausted solver budgets).
 
-Experiment runs are driven by a flat key=value config file with sections
-(configparser syntax); see the bundled files under configs/ for the
-schema.  Data outputs are deterministic for a fixed seed: wall time is
-printed to stdout, never written into the output files.
+Experiment runs are driven by a key=value config file with sections
+(configparser syntax); KEYS lists the keys each run type reads, and any
+other key exits 2.  Data outputs are deterministic for a fixed seed: wall
+time is printed to stdout, never written into the output files.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .experiments import (
     git_describe,
     json_text,
     run_figure1_profile,
-    run_jaccard_comparison,
     run_localization,
     run_topk_experiment,
     write_figure1_csv,
@@ -240,36 +239,98 @@ def cmd_bounds(args) -> int:
 # ------------------------------------------------------- experiment config
 
 
-def _cfg_get(cp: configparser.ConfigParser, section: str, key: str, default=None, required=False):
-    if cp.has_option(section, key):
-        return cp.get(section, key)
-    if required:
-        raise ValueError(f"config is missing [{section}] {key}")
-    return default
+def _list_of(parse):
+    return lambda text: tuple(parse(tok) for tok in text.split())
 
 
-def _floats(text: str) -> list[float]:
-    return [float(tok) for tok in text.split()]
+def _boolean(text: str) -> bool:
+    if text.lower() not in configparser.ConfigParser.BOOLEAN_STATES:
+        raise ValueError(f"not a boolean: {text!r}")
+    return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
 
 
-def _schedule_from_cfg(cp: configparser.ConfigParser, which: str) -> NoiseSchedule:
-    flat = _cfg_get(cp, "noise", which)
-    if flat is not None:
-        return NoiseSchedule.constant(float(flat))
-    coef = _cfg_get(cp, "noise", f"{which}_coef")
-    if coef is None:
-        raise ValueError(f"config needs [noise] {which} or {which}_coef")
-    return NoiseSchedule(
-        coef=float(coef),
-        n_power=float(_cfg_get(cp, "noise", f"{which}_n_power", 0.0)),
-        log_power=float(_cfg_get(cp, "noise", f"{which}_log_power", 0.0)),
-    )
+# Every key a config may hold, per [run] type: key -> (section, parser,
+# default), where a default of ... marks a required key.  Key names are
+# unique within a type.  _read_config rejects anything else in the file.
+_COMMON = {"type": ("run", str, ...), "name": ("run", str, None), "seed_root": ("mc", int, 0)}
+_HARNESS = {"k": ("mc", int, ...), "graphs": ("mc", int, ...), "draws": ("mc", int, ...)}
+_MODELS = {
+    "er": {"p": ("model", float, ...)},
+    "pa": {"m": ("model", int, ...), "b": ("model", float, 1.0)},
+    "sw": {"k_ring": ("model", int, ...), "rewire_p": ("model", float, ...)},
+}
+# a harness grid varies the flip rates at fixed n, or n under per-size rate schedules
+_NOISE_SWEEP = {"n": ("model", int, ...), "alpha_grid": ("noise", _list_of(float), ...),
+                "beta_grid": ("noise", _list_of(float), ...)}
+_SIZE_SWEEP = {
+    "n_grid": ("grid", _list_of(int), ...),
+    **{rate + part: ("noise", float, None) for rate in ("alpha", "beta") for part in ("", "_coef")},
+    **{rate + part: ("noise", float, 0.0) for rate in ("alpha", "beta") for part in ("_n_power", "_log_power")},
+}
+KEYS = {
+    # plus the keys of its [model] kind and of its grid (with or without [grid] n_grid)
+    "topk": {**_HARNESS, "kind": ("model", str, ...), "centrality": ("mc", str, "degree"),
+             "theory_curve": ("mc", _boolean, False)},
+    # topk on PA with both centralities over a noise grid: _JACCARD fixes the rest
+    "jaccard": {**_HARNESS, **_MODELS["pa"], **_NOISE_SWEEP},
+    "localization": {"n_grid": ("grid", _list_of(int), ...), "b": ("model", float, 1.0), "reps": ("mc", int, 200)},
+    "figure1": {"n": ("model", int, ...), "mean_degree": ("model", int, ...), "rewire_p": ("model", float, 0.1),
+                "pa_m": ("model", int, None), "pa_b": ("model", float, 1.0),
+                "alpha": ("noise", float, ...), "beta": ("noise", float, ...)},
+}
+_JACCARD = {"kind": "pa", "centrality": "both", "theory_curve": False}
 
 
-def _noise_grid_from_cfg(cp: configparser.ConfigParser) -> tuple[NoiseParams, ...]:
-    alphas = _floats(_cfg_get(cp, "noise", "alpha_grid", required=True))
-    beta_text = _cfg_get(cp, "noise", "beta_grid", required=True)
-    betas = _floats(beta_text)
+def _read_config(path: str) -> tuple[str, dict, configparser.ConfigParser]:
+    """Check a config file against KEYS; return its type, its values by key and the parser."""
+    cp = configparser.ConfigParser()
+    if not cp.read(path):
+        raise OSError(f"cannot read config file {path!r}")
+    run_type = cp.get("run", "type", fallback=None)
+    if run_type not in KEYS:
+        raise ValueError(f"{path}: [run] type must be one of {', '.join(KEYS)}, got {run_type!r}")
+    keys = {**_COMMON, **KEYS[run_type]}
+    where = f"type = {run_type}"
+    if run_type == "topk":
+        kind = cp.get("model", "kind", fallback=None)
+        if kind not in _MODELS:
+            raise ValueError(f"{path}: [model] kind must be one of {', '.join(_MODELS)}, got {kind!r}")
+        size_sweep = cp.has_option("grid", "n_grid")
+        keys |= {**_MODELS[kind], **(_SIZE_SWEEP if size_sweep else _NOISE_SWEEP)}
+        where += f", kind = {kind}, {'with' if size_sweep else 'without'} [grid] n_grid"
+        for rate in ("alpha", "beta") if size_sweep else ():
+            given = sorted(key for key in _SIZE_SWEEP if key.startswith(rate) and cp.has_option("noise", key))
+            if given != [rate] and (rate in given or f"{rate}_coef" not in given):
+                raise ValueError(f"{path}: [noise] takes {rate} alone or {rate}_coef with optional "
+                                 f"{rate}_n_power and {rate}_log_power, got {', '.join(given) or 'none'}")
+
+    for sec in cp.sections():
+        for key in cp.options(sec):
+            if keys.get(key, (None,))[0] != sec:
+                raise ValueError(f"{path}: [{sec}] {key} is not read by {where}")
+        if not cp.options(sec):
+            raise ValueError(f"{path}: empty section [{sec}] is not read by {where}")
+    values = dict(_JACCARD) if run_type == "jaccard" else {}
+    for key, (sec, parse, default) in keys.items():
+        if not cp.has_option(sec, key):
+            if default is ...:
+                raise ValueError(f"{path}: [{sec}] {key} is missing")
+            values[key] = default
+            continue
+        try:
+            values[key] = parse(cp.get(sec, key))
+        except ValueError as exc:
+            raise ValueError(f"{path}: [{sec}] {key}: {exc}") from None
+    return run_type, values, cp
+
+
+def _schedule(v: dict, rate: str) -> NoiseSchedule:
+    # _read_config lets through a constant rate or a coefficient with its powers, not both
+    coef = v[rate] if v[f"{rate}_coef"] is None else v[f"{rate}_coef"]
+    return NoiseSchedule(coef, v[f"{rate}_n_power"], v[f"{rate}_log_power"])
+
+
+def _noise_grid(alphas: tuple[float, ...], betas: tuple[float, ...]) -> tuple[NoiseParams, ...]:
     if len(betas) == 1:
         betas = betas * len(alphas)
     if len(betas) != len(alphas):
@@ -277,108 +338,45 @@ def _noise_grid_from_cfg(cp: configparser.ConfigParser) -> tuple[NoiseParams, ..
     return tuple(NoiseParams(a, b) for a, b in zip(alphas, betas))
 
 
-def _model_params_from_cfg(cp: configparser.ConfigParser, kind: str, need_n: bool) -> dict:
-    out: dict = {}
-    if kind == "er":
-        out["p"] = float(_cfg_get(cp, "model", "p", required=True))
-    elif kind == "pa":
-        out["m"] = int(_cfg_get(cp, "model", "m", required=True))
-        out["b"] = float(_cfg_get(cp, "model", "b", 1.0))
-    elif kind == "sw":
-        out["k_ring"] = int(_cfg_get(cp, "model", "k_ring", required=True))
-        out["rewire_p"] = float(_cfg_get(cp, "model", "rewire_p", required=True))
-    else:
-        raise ValueError(f"unknown model kind {kind!r}")
-    if need_n:
-        out["n"] = int(_cfg_get(cp, "model", "n", required=True))
-    return out
-
-
-def _experiment_outputs(args, run_type: str, model: str) -> tuple[str, str]:
-    if args.out:
-        base = args.out
-    else:
-        stamp = datetime.now(timezone.utc).strftime("%Y%m%dT%H%M%SZ")
-        base = f"{run_type}_{model}_{stamp}"
-    return f"{base}.csv", f"{base}.json"
-
-
 def cmd_experiment(args) -> int:
-    cp = configparser.ConfigParser()
-    read = cp.read(args.config)
-    if not read:
-        raise OSError(f"cannot read config file {args.config!r}")
-    run_type = _cfg_get(cp, "run", "type", required=True)
-    seed_root = int(_cfg_get(cp, "mc", "seed_root", 0))
+    run_type, v, cp = _read_config(args.config)
+    model = v.get("kind", "all" if run_type == "figure1" else "pa")
+    base = args.out or f"{run_type}_{model}_{datetime.now(timezone.utc).strftime('%Y%m%dT%H%M%SZ')}"
+    csv_path, json_path = f"{base}.csv", f"{base}.json"
 
     started = time.monotonic()
-    if run_type == "topk":
-        kind = _cfg_get(cp, "model", "kind", required=True)
-        n_grid_text = _cfg_get(cp, "grid", "n_grid")
-        vary_n = n_grid_text is not None
-        cfg = ExperimentConfig(
-            model=kind,
-            model_params=_model_params_from_cfg(cp, kind, need_n=not vary_n),
-            k=int(_cfg_get(cp, "mc", "k", required=True)),
-            graphs_per_point=int(_cfg_get(cp, "mc", "graphs", required=True)),
-            noise_draws_per_graph=int(_cfg_get(cp, "mc", "draws", required=True)),
-            seed_root=seed_root,
-            alpha=_schedule_from_cfg(cp, "alpha") if vary_n else None,
-            beta=_schedule_from_cfg(cp, "beta") if vary_n else None,
-            n_grid=tuple(int(v) for v in n_grid_text.split()) if vary_n else (),
-            noise_grid=() if vary_n else _noise_grid_from_cfg(cp),
-            centrality=_cfg_get(cp, "mc", "centrality", "degree"),
-            theory_curve=cp.getboolean("mc", "theory_curve", fallback=False),
-        )
-        rows = run_topk_experiment(cfg, threads=args.threads)
-        csv_path, json_path = _experiment_outputs(args, run_type, kind)
-        write_summary_csv(rows, csv_path)
-    elif run_type == "localization":
-        n_grid = [int(v) for v in _cfg_get(cp, "grid", "n_grid", required=True).split()]
-        rows = run_localization(
-            n_grid,
-            reps=int(_cfg_get(cp, "mc", "reps", 200)),
-            b=float(_cfg_get(cp, "model", "b", 1.0)),
-            seed_root=seed_root,
-        )
-        csv_path, json_path = _experiment_outputs(args, run_type, "pa")
+    if run_type == "localization":
+        rows = run_localization(v["n_grid"], reps=v["reps"], b=v["b"], seed_root=v["seed_root"])
         write_localization_csv(rows, csv_path)
-    elif run_type == "jaccard":
-        rows = run_jaccard_comparison(
-            n=int(_cfg_get(cp, "model", "n", required=True)),
-            m=int(_cfg_get(cp, "model", "m", required=True)),
-            k=int(_cfg_get(cp, "mc", "k", required=True)),
-            noise_grid=_noise_grid_from_cfg(cp),
-            graphs=int(_cfg_get(cp, "mc", "graphs", required=True)),
-            draws=int(_cfg_get(cp, "mc", "draws", required=True)),
-            seed_root=seed_root,
-            b=float(_cfg_get(cp, "model", "b", 1.0)),
-            threads=args.threads,
-        )
-        csv_path, json_path = _experiment_outputs(args, run_type, "pa")
-        write_summary_csv(rows, csv_path)
     elif run_type == "figure1":
         profile = run_figure1_profile(
-            n=int(_cfg_get(cp, "model", "n", required=True)),
-            mean_degree=int(_cfg_get(cp, "model", "mean_degree", required=True)),
-            noise=NoiseParams(
-                alpha=float(_cfg_get(cp, "noise", "alpha", required=True)),
-                beta=float(_cfg_get(cp, "noise", "beta", required=True)),
-            ),
-            seed=seed_root,
-            rewire_p=float(_cfg_get(cp, "model", "rewire_p", 0.1)),
-            pa_m=(lambda v: int(v) if v is not None else None)(_cfg_get(cp, "model", "pa_m")),
-            pa_b=float(_cfg_get(cp, "model", "pa_b", 1.0)),
+            n=v["n"], mean_degree=v["mean_degree"], noise=NoiseParams(alpha=v["alpha"], beta=v["beta"]),
+            seed=v["seed_root"], rewire_p=v["rewire_p"], pa_m=v["pa_m"], pa_b=v["pa_b"],
         )
-        csv_path, json_path = _experiment_outputs(args, run_type, "all")
         write_figure1_csv(profile, csv_path)
         rows = [{"model": name, **entry} for name, entry in profile["models"].items()]
     else:
-        raise ValueError(f"unknown experiment type {run_type!r}")
+        size_sweep = "n_grid" in v
+        cfg = ExperimentConfig(
+            model=v["kind"],
+            model_params={key: v[key] for key in ("n", *_MODELS[v["kind"]]) if key in v},
+            k=v["k"],
+            graphs_per_point=v["graphs"],
+            noise_draws_per_graph=v["draws"],
+            seed_root=v["seed_root"],
+            alpha=_schedule(v, "alpha") if size_sweep else None,
+            beta=_schedule(v, "beta") if size_sweep else None,
+            n_grid=v["n_grid"] if size_sweep else (),
+            noise_grid=() if size_sweep else _noise_grid(v["alpha_grid"], v["beta_grid"]),
+            centrality=v["centrality"],
+            theory_curve=v["theory_curve"],
+        )
+        rows = run_topk_experiment(cfg, threads=args.threads)
+        write_summary_csv(rows, csv_path)
     meta = {
         "experiment": run_type,
         "config": {sec: dict(cp.items(sec)) for sec in cp.sections()},
-        "seed_root": seed_root,
+        "seed_root": v["seed_root"],
         "package_version": __version__,
         "stream_version": STREAM_VERSION,
         "git_describe": git_describe(),
@@ -395,7 +393,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, configparser.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

@@ -37,7 +37,6 @@ __all__ = [
     "derive_seed",
     "run_topk_experiment",
     "run_localization",
-    "run_jaccard_comparison",
     "run_figure1_profile",
     "write_summary_csv",
     "write_localization_csv",
@@ -409,9 +408,13 @@ def run_localization(
     excluded and counted; the trees are connected by construction, so
     the leading eigenpair is never degenerate.
     """
+    n_grid = [int(n) for n in n_grid]
+    if reps < 1:
+        raise ValueError(f"reps must be positive, got {reps}")
+    for n in n_grid:  # fail before the first tree is drawn, not at the first bad size
+        PaParams(n=n, m=1, b=b)
     rows = []
     for cell_idx, n in enumerate(n_grid):
-        n = int(n)
         x_h_vals, m_out_vals, gap_vals = [], [], []
         n_excluded = 0
         n_ties = 0
@@ -455,31 +458,6 @@ def run_localization(
             )
         )
     return rows
-
-
-def run_jaccard_comparison(
-    n: int,
-    m: int,
-    k: int,
-    noise_grid,
-    graphs: int,
-    draws: int,
-    seed_root: int,
-    b: float = 1.0,
-    threads: int = 1,
-) -> list[SummaryRow]:
-    """Degree vs eigenvector top-k stability on PA graphs across noise levels."""
-    cfg = ExperimentConfig(
-        model="pa",
-        model_params={"n": n, "m": m, "b": b},
-        k=k,
-        graphs_per_point=graphs,
-        noise_draws_per_graph=draws,
-        seed_root=seed_root,
-        noise_grid=tuple(noise_grid),
-        centrality="both",
-    )
-    return run_topk_experiment(cfg, threads=threads)
 
 
 def run_figure1_profile(

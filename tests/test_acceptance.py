@@ -34,7 +34,6 @@ from noisytopk import (
     leading_eigenvector,
     noisy_degree_array,
     noisy_degree_moments,
-    run_jaccard_comparison,
     run_localization,
     run_topk_experiment,
     spectral_top2,
@@ -291,9 +290,17 @@ def test_criterion_07_localization():
 def test_criterion_08_jaccard_comparison():
     budget = _Budget(600.0)
     grid = (NoiseParams(0.001, 0.001), NoiseParams(0.01, 0.01), NoiseParams(0.05, 0.05))
-    rows = run_jaccard_comparison(
-        n=1000, m=3, k=10, noise_grid=grid, graphs=30, draws=30, seed_root=98001
+    cfg = ExperimentConfig(
+        model="pa",
+        model_params={"n": 1000, "m": 3, "b": 1.0},
+        k=10,
+        graphs_per_point=30,
+        noise_draws_per_graph=30,
+        seed_root=98001,
+        noise_grid=grid,
+        centrality="both",
     )
+    rows = run_topk_experiment(cfg)
     small, mid, large = rows
     assert small.jaccard_degree >= 0.8
     assert small.jaccard_evec >= 0.8

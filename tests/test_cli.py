@@ -1,7 +1,10 @@
 import argparse
+import configparser
 import csv
+import importlib.util
 import json
 import math
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,7 +13,8 @@ from noisytopk import __version__
 from noisytopk.cli import build_parser, main
 from noisytopk.graphs import STREAM_VERSION, load_edge_list
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
 
 
 def _write_graph(tmp_path, name="g.txt", n=30, p=0.3, seed=1):
@@ -370,3 +374,118 @@ class TestExperiment:
             )
             assert code == 0
         assert base_a.with_suffix(".csv").read_bytes() == base_b.with_suffix(".csv").read_bytes()
+
+
+# small sizes for every bundled config, keeping each one's keys and grid shape
+_SCALED = {
+    ("model", "n"): "60",
+    ("grid", "n_grid"): "30 40",
+    ("mc", "graphs"): "2",
+    ("mc", "draws"): "2",
+    ("mc", "reps"): "3",
+}
+
+
+def _edited_config(tmp_path, name, edits, file_name="cfg.ini"):
+    """Write configs/<name> scaled down, then with (section, key, value) edits; a value of None removes the key."""
+    cp = configparser.ConfigParser()
+    assert cp.read(CONFIGS / name)
+    for (sec, key), val in _SCALED.items():
+        if cp.has_option(sec, key):
+            cp.set(sec, key, val)
+    for sec, key, val in edits:
+        if val is None:
+            assert cp.remove_option(sec, key)
+            continue
+        if not cp.has_section(sec):
+            cp.add_section(sec)
+        cp.set(sec, key, val)
+    path = tmp_path / file_name
+    with open(path, "w") as fh:
+        cp.write(fh)
+    return path
+
+
+def _rename(sec, key, new_key, value):
+    return [(sec, key, None), (sec, new_key, value)]
+
+
+class TestConfigKeys:
+    @pytest.mark.parametrize(
+        "name, edits, section, key",
+        [
+            ("smoke_zero_noise.ini", _rename("run", "name", "nmae", "x"), "run", "nmae"),
+            ("pa_setting1.ini", _rename("model", "b", "bb", "1.0"), "model", "bb"),
+            ("pa_setting1.ini", _rename("grid", "n_grid", "n_grdi", "30 40"), "grid", "n_grdi"),
+            ("er_setting3.ini", _rename("noise", "alpha_log_power", "alpha_log_powr", "1.0"), "noise", "alpha_log_powr"),
+            ("smoke_zero_noise.ini", _rename("mc", "seed_root", "seeed_root", "1"), "mc", "seeed_root"),
+            ("smoke_zero_noise.ini", _rename("mc", "centrality", "centralty", "both"), "mc", "centralty"),
+            ("smoke_zero_noise.ini", [("model", "m", "3")], "model", "m"),
+            ("pa_setting2.ini", [("mc", "reps", "3")], "mc", "reps"),
+            ("jaccard_pa.ini", [("model", "kind", "er")], "model", "kind"),
+            ("smoke_zero_noise.ini", [("extra", "foo", "1")], "extra", "foo"),
+            ("er_setting3.ini", [("noise", "alpha", "0.1")], "noise", "alpha_coef"),
+            ("er_setting1.ini", [("model", "n", "999")], "model", "n"),
+            ("er_setting1.ini", [("noise", "alpha_grid", "0.01 0.02")], "noise", "alpha_grid"),
+        ],
+    )
+    def test_unread_or_conflicting_key_is_rejected(self, tmp_path, capsys, name, edits, section, key):
+        path = _edited_config(tmp_path, name, edits)
+        base = tmp_path / "res"
+        code = main(["experiment", str(path), "--out", str(base)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and f"[{section}]" in err and key in err
+        assert not base.with_suffix(".csv").exists()
+        assert not base.with_suffix(".json").exists()
+
+    def test_duplicate_key_is_rejected(self, tmp_path, capsys):
+        path = tmp_path / "dup.ini"
+        path.write_text((CONFIGS / "smoke_zero_noise.ini").read_text() + "k = 4\n")
+        assert main(["experiment", str(path), "--out", str(tmp_path / "res")]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "'mc'" in err and "'k'" in err
+        assert not (tmp_path / "res.csv").exists()
+
+    def test_jaccard_is_topk_on_pa_with_both_centralities(self, tmp_path):
+        jaccard = _edited_config(tmp_path, "jaccard_pa.ini", [], "jaccard.ini")
+        twin_edits = [("run", "type", "topk"), ("model", "kind", "pa"), ("mc", "centrality", "both")]
+        twin = _edited_config(tmp_path, "jaccard_pa.ini", twin_edits, "twin.ini")
+        for path in (jaccard, twin):
+            assert main(["experiment", str(path), "--out", str(path.with_suffix("")), "--quiet"]) == 0
+        assert jaccard.with_suffix(".csv").read_bytes() == twin.with_suffix(".csv").read_bytes()
+        docs = [json.loads(path.with_suffix(".json").read_text()) for path in (jaccard, twin)]
+        assert docs[0]["rows"] == docs[1]["rows"]
+        assert [doc["meta"]["experiment"] for doc in docs] == ["jaccard", "topk"]
+
+
+def _bench_harness():
+    """The benchmark's harness workloads: name -> INI text and sizes (bench/workloads.py, read only)."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", ROOT / "bench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up while the file executes
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module.HARNESS
+
+
+class TestEveryConfigRuns:
+    """The stricter config reader must accept every bundled config and every benchmark workload."""
+
+    @pytest.mark.parametrize("name", sorted(path.name for path in CONFIGS.glob("*.ini")))
+    def test_bundled_config_scaled_down(self, tmp_path, name):
+        path = _edited_config(tmp_path, name, [])
+        base = tmp_path / "res"
+        assert main(["experiment", str(path), "--out", str(base), "--quiet"]) == 0
+        assert base.with_suffix(".csv").exists() and base.with_suffix(".json").exists()
+
+    @pytest.mark.parametrize("workload", sorted(_bench_harness()))
+    def test_bench_workload_at_smoke_size(self, tmp_path, workload):
+        spec = _bench_harness()[workload]
+        path = tmp_path / f"{workload}.ini"
+        path.write_text(spec["ini"].format(**spec["smoke"], seed_root=1))
+        base = tmp_path / "res"
+        assert main(["experiment", str(path), "--out", str(base), "--quiet"]) == 0
+        assert base.with_suffix(".csv").exists() and base.with_suffix(".json").exists()

@@ -13,7 +13,6 @@ from noisytopk import (
     SummaryRow,
     derive_seed,
     run_figure1_profile,
-    run_jaccard_comparison,
     run_localization,
     run_topk_experiment,
     write_figure1_csv,
@@ -244,6 +243,10 @@ class TestRunTopkExperiment:
         assert rows_a == rows_a2
 
 
+def _no_draws(*args, **kwargs):
+    raise AssertionError("a tree was drawn before the arguments were validated")
+
+
 class TestRunLocalization:
     def test_fields_and_ranges(self):
         rows = run_localization([40, 80], reps=25, b=1.0, seed_root=9)
@@ -262,13 +265,32 @@ class TestRunLocalization:
         b = run_localization([30], reps=10, seed_root=4)
         assert a == b
 
+    @pytest.mark.parametrize("reps", [0, -3])
+    def test_nonpositive_reps_rejected_before_any_draw(self, monkeypatch, reps):
+        monkeypatch.setattr("noisytopk.experiments.generate_pa", _no_draws)
+        with pytest.raises(ValueError, match="reps"):
+            run_localization([30], reps=reps, seed_root=4)
+
+    def test_every_size_validated_before_any_draw(self, monkeypatch):
+        monkeypatch.setattr("noisytopk.experiments.generate_pa", _no_draws)
+        with pytest.raises(ValueError, match="n=1"):
+            run_localization([200, 1], reps=3, seed_root=4)
+
 
 class TestRunJaccardComparison:
     def test_grid_rows_and_columns(self):
         grid = (NoiseParams(0.0, 0.0), NoiseParams(0.05, 0.05))
-        rows = run_jaccard_comparison(
-            n=40, m=2, k=3, noise_grid=grid, graphs=3, draws=2, seed_root=13
+        cfg = ExperimentConfig(
+            model="pa",
+            model_params={"n": 40, "m": 2, "b": 1.0},
+            k=3,
+            graphs_per_point=3,
+            noise_draws_per_graph=2,
+            seed_root=13,
+            noise_grid=grid,
+            centrality="both",
         )
+        rows = run_topk_experiment(cfg)
         assert len(rows) == 2
         assert rows[0].jaccard_degree == 1.0
         assert rows[0].jaccard_evec == 1.0
@@ -277,9 +299,18 @@ class TestRunJaccardComparison:
             assert 0.0 <= row.jaccard_evec <= 1.0 or math.isnan(row.jaccard_evec)
 
     def test_threads_give_identical_rows(self):
-        kw = dict(n=60, m=2, k=3, noise_grid=(NoiseParams(0.02, 0.05),), graphs=3, draws=2, seed_root=17)
-        serial = run_jaccard_comparison(**kw, threads=1)
-        assert repr(run_jaccard_comparison(**kw, threads=2)) == repr(serial)
+        cfg = ExperimentConfig(
+            model="pa",
+            model_params={"n": 60, "m": 2, "b": 1.0},
+            k=3,
+            graphs_per_point=3,
+            noise_draws_per_graph=2,
+            seed_root=17,
+            noise_grid=(NoiseParams(0.02, 0.05),),
+            centrality="both",
+        )
+        serial = run_topk_experiment(cfg, threads=1)
+        assert repr(run_topk_experiment(cfg, threads=2)) == repr(serial)
 
 
 class TestRunFigure1Profile:
