@@ -75,7 +75,7 @@ def main():
     y = apply_noise(er, moderate, seed=100)
     noisy = degree_scores(y)
     s_tilde = top_k(noisy, K, seed=99)
-    hb = hamming_bounds_realization(s_k, noisy, K)
+    hb = hamming_bounds_realization(s_k, noisy)
     d = hamming(s_k, s_tilde)
     print(f"realized Hamming distance {d}, certified sandwich "
           f"[{hb.lower}, {hb.upper}], cutoff score t = {hb.t}")

@@ -50,14 +50,17 @@ LEADING_ORDER_NOTE = "leading-order evaluation; vanishing remainder terms omitte
 
 @dataclass(frozen=True)
 class DegreeMoments:
-    """Mean and variance of one node's observed degree under edge-flip noise."""
+    """Mean and variance of observed degrees under edge-flip noise.
 
-    mu: float
-    sigma2: float
+    Floats for one true degree, float arrays for an array of them.
+    """
+
+    mu: float | np.ndarray
+    sigma2: float | np.ndarray
 
     @property
-    def sigma(self) -> float:
-        return math.sqrt(self.sigma2)
+    def sigma(self) -> float | np.ndarray:
+        return np.sqrt(self.sigma2)
 
 
 @dataclass(frozen=True)
@@ -142,16 +145,17 @@ def normal_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
-def noisy_degree_moments(d: int, n: int, params: NoiseParams) -> DegreeMoments:
+def noisy_degree_moments(d: int | np.ndarray, n: int, params: NoiseParams) -> DegreeMoments:
     """Moments of the observed degree of a node with true degree d.
 
     The observed degree is Binomial(n-1-d, alpha) + Binomial(d, 1-beta),
     so mu = (n-1-d) alpha + d (1-beta) and
-    sigma2 = (n-1-d) alpha (1-alpha) + d beta (1-beta).
+    sigma2 = (n-1-d) alpha (1-alpha) + d beta (1-beta).  An integer array
+    d gives the moments of every entry, equal to the scalar calls.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    if not 0 <= d <= n - 1:
+    if np.any((d < 0) | (d > n - 1)):
         raise ValueError(f"degree must lie in [0, {n - 1}], got {d}")
     a, b = params.alpha, params.beta
     mu = (n - 1 - d) * a + d * (1.0 - b)
@@ -185,37 +189,30 @@ def correction_terms(m: int, n: int, c_of_n: float | None = None) -> CorrectionT
     return CorrectionTerms(eps1=eps1, eps2=eps2, c_of_n=c_of_n)
 
 
-def _check_flip_budget(params: NoiseParams) -> float:
+def _band(m: int, n: int, c_of_n: float | None) -> tuple[float, float]:
+    """(sqrt(2 ln m) - eps1(m)) -/+ eps2(n): the extreme-value band of a maximum over m tail degrees."""
+    terms = correction_terms(m, n, c_of_n)
+    base = math.sqrt(2.0 * math.log(m)) - terms.eps1
+    return base - terms.eps2, base + terms.eps2
+
+
+def _ranked(dseq: DegreeSequence, k: int, params: NoiseParams, i_star: int | None = None):
+    """Validated (sorted degrees, 1 - alpha - beta, observed-degree moments by rank)."""
+    d_sorted = dseq.sorted_degrees()
+    n = d_sorted.size
+    if not 1 <= k < n:
+        raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
+    if i_star is not None and not k < i_star <= n:
+        raise ValueError(f"need k < i_star <= n, got k={k}, i_star={i_star}")
     contraction = 1.0 - params.alpha - params.beta
     if contraction <= 0.0:
         raise ValueError(
             f"need alpha + beta < 1, got alpha={params.alpha}, beta={params.beta}"
         )
-    return contraction
+    return d_sorted, contraction, noisy_degree_moments(d_sorted, n, params)
 
 
-def _rank_moments(dseq: DegreeSequence, rank: int, params: NoiseParams) -> DegreeMoments:
-    # rank is 1-based into the non-increasing order
-    d_sorted = dseq.sorted_degrees()
-    return noisy_degree_moments(int(d_sorted[rank - 1]), d_sorted.size, params)
-
-
-def _split_inputs(dseq: DegreeSequence, k: int, i_star: int, params: NoiseParams):
-    """Validated (sorted degrees, 1 - alpha - beta, sigma at ranks k, k+1 and i_star)."""
-    d_sorted = dseq.sorted_degrees()
-    n = d_sorted.size
-    if not 1 <= k < n:
-        raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
-    if not k < i_star <= n:
-        raise ValueError(f"need k < i_star <= n, got k={k}, i_star={i_star}")
-    contraction = _check_flip_budget(params)
-    sigmas = (_rank_moments(dseq, rank, params).sigma for rank in (k, k + 1, i_star))
-    return (d_sorted, contraction, *sigmas)
-
-
-def default_i_star(
-    dseq: DegreeSequence, k: int, params: NoiseParams, c_of_n: float | None = None
-) -> int:
+def default_i_star(dseq: DegreeSequence, k: int, params: NoiseParams) -> int:
     """Smallest rank past k whose degree gap already dominates the bulk noise.
 
     Returns the smallest i with k < i <= n - 2 and
@@ -224,16 +221,12 @@ def default_i_star(
     so the returned rank leaves at least 3 tail positions for the
     correction terms used downstream.
     """
-    d_sorted = dseq.sorted_degrees()
+    d_sorted, contraction, mom = _ranked(dseq, k, params)
     n = d_sorted.size
-    if not 1 <= k < n:
-        raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
-    contraction = _check_flip_budget(params)
-    d_k = float(d_sorted[k - 1])
+    degree, sigma = d_sorted.tolist(), mom.sigma.tolist()
     for i in range(k + 1, n - 1):
-        mom = noisy_degree_moments(int(d_sorted[i - 1]), n, params)
-        need = 2.0 * math.sqrt(2.0 * math.log(n - i + 1)) * mom.sigma / contraction
-        if d_k - float(d_sorted[i - 1]) >= need:
+        need = 2.0 * math.sqrt(2.0 * math.log(n - i + 1)) * sigma[i - 1] / contraction
+        if degree[k - 1] - degree[i - 1] >= need:
             return i
     return k + 1
 
@@ -259,20 +252,18 @@ def separation_report(
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    d_sorted, contraction, sig_k, sig_k1, sig_istar = _split_inputs(dseq, k, i_star, params)
+    d_sorted, contraction, mom = _ranked(dseq, k, params, i_star)
     n = d_sorted.size
+    sig_k, sig_k1, sig_istar = mom.sigma[[k - 1, k, i_star - 1]].tolist()
     delta_bdry = float(d_sorted[k - 1] - d_sorted[k])
     delta_bulk = float(d_sorted[k - 1] - d_sorted[i_star - 1])
     l_k = math.log(k / delta)
     l_bdry = math.log(k * (i_star - k) / delta)
 
     # largest combined per-pair variance over top ranks vs near-boundary ranks
-    sorted_sigma2 = np.array(
-        [noisy_degree_moments(int(d), n, params).sigma2 for d in d_sorted]
-    )
     if i_star > k + 1:
         sigma_bar_bdry = math.sqrt(
-            float(sorted_sigma2[:k].max()) + float(sorted_sigma2[k : i_star - 1].max())
+            float(mom.sigma2[:k].max()) + float(mom.sigma2[k : i_star - 1].max())
         )
         bdry_required = (
             math.sqrt(2.0 * l_bdry) * sigma_bar_bdry + (2.0 / 3.0) * l_bdry
@@ -284,20 +275,15 @@ def separation_report(
         bdry_required = 0.0
         boundary_ok = True
 
-    terms = correction_terms(n - i_star + 1, n, c_of_n)
-    bulk_required = (
-        (math.sqrt(2.0 * math.log(n - i_star + 1)) - terms.eps1 + terms.eps2) * sig_istar
-        + sig_k * math.sqrt(2.0 * l_k)
-        + (2.0 / 3.0) * l_k
-    ) / contraction
-    bulk_ok = delta_bulk >= bulk_required
+    def required(m: int, sigma: float) -> float:
+        # the best of m tail degrees must stay below rank k
+        return (
+            _band(m, n, c_of_n)[1] * sigma + sig_k * math.sqrt(2.0 * l_k) + (2.0 / 3.0) * l_k
+        ) / contraction
 
-    terms_k = correction_terms(n - k, n, c_of_n)
-    one_gap_required = (
-        (math.sqrt(2.0 * math.log(n - k)) - terms_k.eps1 + terms_k.eps2) * sig_k1
-        + sig_k * math.sqrt(2.0 * l_k)
-        + (2.0 / 3.0) * l_k
-    ) / contraction
+    bulk_required = required(n - i_star + 1, sig_istar)
+    bulk_ok = delta_bulk >= bulk_required
+    one_gap_required = required(n - k, sig_k1)
     one_gap_ok = delta_bdry >= one_gap_required
 
     snr = contraction * delta_bdry / sig_k1 if sig_k1 > 0 else math.inf
@@ -338,29 +324,16 @@ def infeasibility_report(
     """
     if not 0.0 < c1 < 1.0:
         raise ValueError(f"c1 must lie in (0, 1), got {c1}")
-    d_sorted, contraction, sig_k, sig_k1, sig_istar = _split_inputs(dseq, k, i_star, params)
+    d_sorted, contraction, mom = _ranked(dseq, k, params, i_star)
     n = d_sorted.size
+    sig_k, sig_k1, sig_istar = mom.sigma[[k - 1, k, i_star - 1]].tolist()
 
-    terms_star = correction_terms(n - i_star + 1, n, c_of_n)
-    bulk_threshold = max(
-        0.0,
-        (math.sqrt(2.0 * math.log(n - i_star + 1)) - terms_star.eps1 - terms_star.eps2)
-        * sig_istar
-        / contraction,
-    )
-
+    bulk_threshold = max(0.0, _band(n - i_star + 1, n, c_of_n)[0] * sig_istar / contraction)
     bdry_threshold = max(
         0.0,
         c1 * 2.0 * math.sqrt(2.0 * math.log(k)) * max(sig_k, sig_k1) / contraction,
     )
-
-    terms_k = correction_terms(n - k, n, c_of_n)
-    bdry_bar = max(
-        0.0,
-        (math.sqrt(2.0 * math.log(n - k)) - terms_k.eps1 - terms_k.eps2)
-        * sig_k1
-        / contraction,
-    )
+    bdry_bar = max(0.0, _band(n - k, n, c_of_n)[0] * sig_k1 / contraction)
 
     delta_bulk = float(d_sorted[k - 1] - d_sorted[i_star - 1])
     delta_bdry = float(d_sorted[k - 1] - d_sorted[k])
@@ -376,9 +349,7 @@ def infeasibility_report(
     )
 
 
-def hamming_bounds_realization(
-    true_topk: TopKSet, noisy_scores: ScoreVector, k: int
-) -> HammingBoundsRealization:
+def hamming_bounds_realization(true_topk: TopKSet, noisy_scores: ScoreVector) -> HammingBoundsRealization:
     """Sandwich the realized top-k Hamming distance from one noisy score vector.
 
     Splits the noisy scores at t, the (k+1)-th largest value.  Nodes of the
@@ -389,9 +360,7 @@ def hamming_bounds_realization(
     top-k selection.
     """
     s = noisy_scores.scores
-    n = s.size
-    if true_topk.k != k:
-        raise ValueError(f"true set has k={true_topk.k}, expected {k}")
+    n, k = s.size, true_topk.k
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
 
@@ -451,11 +420,7 @@ def er_expected_hamming_lower_bound(
 
 
 def tail_envelope(
-    dseq: DegreeSequence,
-    k: int,
-    n: int,
-    params: NoiseParams,
-    c_of_n: float | None = None,
+    dseq: DegreeSequence, k: int, params: NoiseParams, c_of_n: float | None = None
 ) -> TailEnvelope:
     """Envelope for the maximum noisy degree among the n - k non-top nodes.
 
@@ -464,39 +429,33 @@ def tail_envelope(
     c_upper - c_lower = 2 eps2(n) sigma_(k+1) exactly.
     """
     d_sorted = dseq.sorted_degrees()
-    if n != d_sorted.size:
-        raise ValueError(f"n={n} does not match degree sequence length {d_sorted.size}")
+    n = d_sorted.size
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
     if n - k < 3:
         raise ValueError(f"need n - k >= 3, got {n - k}")
-    mom = _rank_moments(dseq, k + 1, params)
-    terms = correction_terms(n - k, n, c_of_n)
-    base = math.sqrt(2.0 * math.log(n - k)) - terms.eps1
-    c_upper = mom.mu + (base + terms.eps2) * mom.sigma
-    c_lower = mom.mu + (base - terms.eps2) * mom.sigma
-    return TailEnvelope(c_upper=c_upper, c_lower=c_lower)
+    mom = noisy_degree_moments(int(d_sorted[k]), n, params)
+    sigma = float(mom.sigma)
+    lower, upper = _band(n - k, n, c_of_n)
+    return TailEnvelope(c_upper=mom.mu + upper * sigma, c_lower=mom.mu + lower * sigma)
 
 
-def evec_bound(
-    spec: SpectralPair,
-    spectral_norm_a: float,
-    x_inf: float,
-    n: int,
-    params: NoiseParams,
-) -> EvecBound:
+def evec_bound(spec: SpectralPair, params: NoiseParams) -> EvecBound:
     """Entrywise perturbation bound for the leading eigenvector under noise.
 
     The three envelopes capture the noise matrix: b1 bounds its entrywise
     aggregate effect, b2 its deviation along one direction, b3 its
     spectral norm.  When the eigengap clears 2 b3 + 4 b2 the bound eps_n
     controls ||x - x_tilde||_inf; otherwise eps_n is reported as inf with
-    gap_condition_ok False.
+    gap_condition_ok False.  The spectral norm of the nonnegative adjacency
+    matrix is its Perron root spec.lambda1.
     """
+    n = spec.x.scores.size
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    if spectral_norm_a < 0 or x_inf < 0:
-        raise ValueError("spectral norm and max entry must be nonnegative")
+    x_inf = float(spec.x.scores.max())
+    if spec.lambda1 < 0 or x_inf < 0:
+        raise ValueError("leading eigenvalue and max entry must be nonnegative")
     a, b = params.alpha, params.beta
     ab = a + b
     ln_n = math.log(n)
@@ -504,7 +463,7 @@ def evec_bound(
     variance_like = ab - (a - b) ** 2  # equals a(1-a) + b(1-b) + 2ab >= 0
     b1 = ab * math.sqrt(n) + 5.0 * math.sqrt(max(0.0, variance_like) * ln_n)
     b2 = math.sqrt(2.0 * n * ab + ln_n)
-    b3 = 5.0 * math.sqrt(n * ab) + a * n + ab * spectral_norm_a
+    b3 = 5.0 * math.sqrt(n * ab) + a * n + ab * spec.lambda1
 
     lam1, lam2 = spec.lambda1, spec.lambda2
     gap = lam1 - lam2
@@ -578,7 +537,7 @@ def bound_report(
     dseq = degrees(g)
     n = g.n
     if i_star is None:
-        i_star = default_i_star(dseq, k, params, c_of_n)
+        i_star = default_i_star(dseq, k, params)
     sep = separation_report(dseq, k, i_star, params, delta, c_of_n)
     inf_rep = infeasibility_report(dseq, k, i_star, params, c1, c_of_n)
     out: dict = {
@@ -597,13 +556,13 @@ def bound_report(
         "regime": classify_regime(sep, inf_rep),
     }
     if n - k >= 3:
-        env = tail_envelope(dseq, k, n, params, c_of_n)
+        env = tail_envelope(dseq, k, params, c_of_n)
         out["tail_envelope"] = {"c_upper": env.c_upper, "c_lower": env.c_lower}
     else:
         out["tail_envelope"] = None
     if include_evec and n >= 3:
         pair = spectral_top2(g, tol=tol, max_iter=max_iter)
-        eb = evec_bound(pair, pair.lambda1, float(pair.x.scores.max()), n, params)
+        eb = evec_bound(pair, params)
         out["evec"] = {
             "lambda1": pair.lambda1,
             "lambda2": pair.lambda2,
@@ -616,7 +575,7 @@ def bound_report(
             "b3": eb.b3,
             "eps_n": eb.eps_n,
             "gap_condition_ok": eb.gap_condition_ok,
-            "topk_entry_gap_ok": evec_gap_check(pair, k, eb) if k < n else False,
+            "topk_entry_gap_ok": evec_gap_check(pair, k, eb),
         }
     else:
         out["evec"] = None

@@ -286,6 +286,9 @@ def _read_config(path: str) -> tuple[str, dict, configparser.ConfigParser]:
     cp = configparser.ConfigParser()
     if not cp.read(path):
         raise OSError(f"cannot read config file {path!r}")
+    if cp.defaults():
+        # configparser copies [DEFAULT] keys into every section
+        raise ValueError(f"{path}: [DEFAULT] {', '.join(cp.defaults())} is not read; give each key its own section")
     run_type = cp.get("run", "type", fallback=None)
     if run_type not in KEYS:
         raise ValueError(f"{path}: [run] type must be one of {', '.join(KEYS)}, got {run_type!r}")
@@ -345,34 +348,38 @@ def cmd_experiment(args) -> int:
     csv_path, json_path = f"{base}.csv", f"{base}.json"
 
     started = time.monotonic()
-    if run_type == "localization":
-        rows = run_localization(v["n_grid"], reps=v["reps"], b=v["b"], seed_root=v["seed_root"])
-        write_localization_csv(rows, csv_path)
-    elif run_type == "figure1":
-        profile = run_figure1_profile(
-            n=v["n"], mean_degree=v["mean_degree"], noise=NoiseParams(alpha=v["alpha"], beta=v["beta"]),
-            seed=v["seed_root"], rewire_p=v["rewire_p"], pa_m=v["pa_m"], pa_b=v["pa_b"],
-        )
-        write_figure1_csv(profile, csv_path)
-        rows = [{"model": name, **entry} for name, entry in profile["models"].items()]
-    else:
-        size_sweep = "n_grid" in v
-        cfg = ExperimentConfig(
-            model=v["kind"],
-            model_params={key: v[key] for key in ("n", *_MODELS[v["kind"]]) if key in v},
-            k=v["k"],
-            graphs_per_point=v["graphs"],
-            noise_draws_per_graph=v["draws"],
-            seed_root=v["seed_root"],
-            alpha=_schedule(v, "alpha") if size_sweep else None,
-            beta=_schedule(v, "beta") if size_sweep else None,
-            n_grid=v["n_grid"] if size_sweep else (),
-            noise_grid=() if size_sweep else _noise_grid(v["alpha_grid"], v["beta_grid"]),
-            centrality=v["centrality"],
-            theory_curve=v["theory_curve"],
-        )
-        rows = run_topk_experiment(cfg, threads=args.threads)
-        write_summary_csv(rows, csv_path)
+    try:
+        if run_type == "localization":
+            rows = run_localization(v["n_grid"], reps=v["reps"], b=v["b"], seed_root=v["seed_root"])
+            write_localization_csv(rows, csv_path)
+        elif run_type == "figure1":
+            profile = run_figure1_profile(
+                n=v["n"], mean_degree=v["mean_degree"], noise=NoiseParams(alpha=v["alpha"], beta=v["beta"]),
+                seed=v["seed_root"], rewire_p=v["rewire_p"], pa_m=v["pa_m"], pa_b=v["pa_b"],
+            )
+            write_figure1_csv(profile, csv_path)
+            rows = [{"model": name, **entry} for name, entry in profile["models"].items()]
+        else:
+            size_sweep = "n_grid" in v
+            cfg = ExperimentConfig(
+                model=v["kind"],
+                model_params={key: v[key] for key in ("n", *_MODELS[v["kind"]]) if key in v},
+                k=v["k"],
+                graphs_per_point=v["graphs"],
+                noise_draws_per_graph=v["draws"],
+                seed_root=v["seed_root"],
+                alpha=_schedule(v, "alpha") if size_sweep else None,
+                beta=_schedule(v, "beta") if size_sweep else None,
+                n_grid=v["n_grid"] if size_sweep else (),
+                noise_grid=() if size_sweep else _noise_grid(v["alpha_grid"], v["beta_grid"]),
+                centrality=v["centrality"],
+                theory_curve=v["theory_curve"],
+            )
+            rows = run_topk_experiment(cfg, threads=args.threads)
+            write_summary_csv(rows, csv_path)
+    except ValueError as exc:
+        # the study rejects values the key table cannot check on its own
+        raise ValueError(f"{args.config}: {exc}") from None
     meta = {
         "experiment": run_type,
         "config": {sec: dict(cp.items(sec)) for sec in cp.sections()},

@@ -271,7 +271,7 @@ def _run_one_graph(cfg: ExperimentConfig, cell_idx: int, n: int, noise: NoisePar
         noisy = ScoreVector(noisy_deg.astype(np.float64), "degree")
         s_tilde = top_k(noisy, k, tie_seed)
         d = hamming(s_k, s_tilde)
-        hb = hamming_bounds_realization(s_k, noisy, k)
+        hb = hamming_bounds_realization(s_k, noisy)
         # the sandwich holds deterministically for every draw; a violation is a bug
         if not hb.lower <= d <= hb.upper:
             raise RuntimeError(f"Hamming sandwich violated: {hb.lower} <= {d} <= {hb.upper} fails")

@@ -210,7 +210,7 @@ def test_criterion_04_per_trial_sandwich():
             noisy = degree_scores(y)
             s_tilde = top_k(noisy, k, tie_seed)
             d = hamming(s_k, s_tilde)
-            hb = hamming_bounds_realization(s_k, noisy, k)
+            hb = hamming_bounds_realization(s_k, noisy)
             trials += 1
             if not (hb.lower <= d <= hb.upper):
                 violations += 1
@@ -329,7 +329,7 @@ def test_criterion_09_evec_perturbation_bound():
         pair = spectral_top2(g, tol=1e-10, max_iter=10000)
         assert pair.converged
         x = pair.x.scores
-        eb = evec_bound(pair, spectral_norm_a=pair.lambda1, x_inf=float(x.max()), n=n, params=params)
+        eb = evec_bound(pair, params)
         for r in range(draws):
             total_trials += 1
             y = apply_noise(g, params, seed=derive_seed(99001, 2, s, r))
@@ -396,7 +396,7 @@ def test_criterion_11_tail_envelope():
     params = NoiseParams(0.05, 0.05)
     g = generate_er(n, 0.25, seed=111)
     dseq = degrees(g)
-    env = tail_envelope(dseq, k=k, n=n, params=params)
+    env = tail_envelope(dseq, k=k, params=params)
 
     terms = correction_terms(n - k, n)
     sig = noisy_degree_moments(int(dseq.sorted_degrees()[k]), n, params).sigma

@@ -100,6 +100,21 @@ class TestDegreeMoments:
         with pytest.raises(ValueError):
             noisy_degree_moments(d=-1, n=30, params=NoiseParams(0.1, 0.1))
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_array_equals_scalar_calls(self, data):
+        n = data.draw(st.integers(2, 10**6))
+        d = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=40))
+        params = NoiseParams(data.draw(st.floats(0.0, 1.0)), data.draw(st.floats(0.0, 1.0)))
+        each = noisy_degree_moments(np.array(d, dtype=np.int64), n, params)
+        for i, di in enumerate(d):
+            one = noisy_degree_moments(di, n, params)
+            assert each.mu[i] == one.mu and each.sigma2[i] == one.sigma2
+        bad = data.draw(st.integers(-(10**6), -1) | st.integers(n, n + 10**6))
+        d.insert(data.draw(st.integers(0, len(d))), bad)
+        with pytest.raises(ValueError, match="degree must lie"):
+            noisy_degree_moments(np.array(d, dtype=np.int64), n, params)
+
     def test_monte_carlo_cross_check(self):
         # binomial decomposition of the observed degree of one node
         n, d, a, b = 120, 30, 0.08, 0.25
@@ -290,7 +305,7 @@ class TestHammingBounds:
     def test_noiseless_strict_gap_pins_zero(self):
         scores = ScoreVector(np.array([9.0, 7.0, 5.0, 3.0, 1.0]), "degree")
         true_set = TopKSet(k=2, members=frozenset({0, 1}), tie_broken=False)
-        hb = hamming_bounds_realization(true_set, scores, 2)
+        hb = hamming_bounds_realization(true_set, scores)
         assert hb.lower == 0
         assert hb.upper == 0
         assert hb.t == 5.0
@@ -298,15 +313,15 @@ class TestHammingBounds:
     def test_reversed_ranking_pins_full_distance(self):
         noisy = ScoreVector(np.array([1.0, 2.0, 3.0, 4.0]), "degree")
         true_set = TopKSet(k=2, members=frozenset({0, 1}), tie_broken=False)
-        hb = hamming_bounds_realization(true_set, noisy, 2)
+        hb = hamming_bounds_realization(true_set, noisy)
         assert hb.lower == 4
         assert hb.upper == 4
 
-    def test_mismatched_k_rejected(self):
+    def test_k_equal_n_rejected(self):
         scores = ScoreVector(np.arange(5, dtype=float), "degree")
-        true_set = TopKSet(k=2, members=frozenset({3, 4}), tie_broken=False)
+        true_set = TopKSet(k=5, members=frozenset(range(5)), tie_broken=False)
         with pytest.raises(ValueError):
-            hamming_bounds_realization(true_set, scores, 3)
+            hamming_bounds_realization(true_set, scores)
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
@@ -320,7 +335,7 @@ class TestHammingBounds:
         s = noisy.scores
         for k in range(1, n):
             true_set = top_k(true_scores, k, seed)
-            hb = hamming_bounds_realization(true_set, noisy, k)
+            hb = hamming_bounds_realization(true_set, noisy)
             cutoff = np.partition(s, n - k)[n - k]
             above = set(np.flatnonzero(s > cutoff).tolist())
             tied = np.flatnonzero(s == cutoff).tolist()
@@ -347,7 +362,7 @@ class TestHammingBounds:
             noisy_scores = degree_scores(y)
             noisy_set = top_k(noisy_scores, k, seed=trial + 20_000)
             d = hamming(true_set, noisy_set)
-            hb = hamming_bounds_realization(true_set, noisy_scores, k)
+            hb = hamming_bounds_realization(true_set, noisy_scores)
             assert hb.lower <= d <= hb.upper
             s = noisy_scores.scores
             t_hi = float(np.partition(s, n - k)[n - k])  # k-th largest
@@ -398,7 +413,7 @@ class TestTailEnvelope:
     def test_zero_noise_pins_next_degree(self):
         g = generate_er(50, 0.3, seed=4)
         dseq = degrees(g)
-        env = tail_envelope(dseq, k=5, n=50, params=NoiseParams(0.0, 0.0))
+        env = tail_envelope(dseq, k=5, params=NoiseParams(0.0, 0.0))
         d6 = float(dseq.sorted_degrees()[5])
         assert env.c_upper == pytest.approx(d6, abs=1e-12)
         assert env.c_lower == pytest.approx(d6, abs=1e-12)
@@ -407,7 +422,7 @@ class TestTailEnvelope:
         g = generate_er(200, 0.2, seed=8)
         dseq = degrees(g)
         params = NoiseParams(0.07, 0.12)
-        env = tail_envelope(dseq, k=10, n=200, params=params)
+        env = tail_envelope(dseq, k=10, params=params)
         terms = correction_terms(m=190, n=200)
         sig = noisy_degree_moments(d=int(dseq.sorted_degrees()[10]), n=200, params=params).sigma
         assert env.c_upper - env.c_lower == pytest.approx(2 * terms.eps2 * sig, abs=1e-12)
@@ -416,9 +431,7 @@ class TestTailEnvelope:
     def test_domain_guards(self):
         g = generate_er(10, 0.5, seed=1)
         with pytest.raises(ValueError):
-            tail_envelope(degrees(g), k=5, n=11, params=NoiseParams(0.1, 0.1))
-        with pytest.raises(ValueError):
-            tail_envelope(degrees(g), k=8, n=10, params=NoiseParams(0.1, 0.1))
+            tail_envelope(degrees(g), k=8, params=NoiseParams(0.1, 0.1))
 
 
 class TestEvecBound:
@@ -442,7 +455,7 @@ class TestEvecBound:
     def test_zero_noise_collapse(self):
         n = 100
         pair = self._pair(15.0, 2.0, n)
-        eb = evec_bound(pair, spectral_norm_a=15.0, x_inf=0.8, n=n, params=NoiseParams(0.0, 0.0))
+        eb = evec_bound(pair, NoiseParams(0.0, 0.0))
         assert eb.b1 == 0.0
         assert eb.b3 == 0.0
         assert eb.b2 == pytest.approx(math.sqrt(math.log(n)), abs=1e-12)
@@ -452,7 +465,7 @@ class TestEvecBound:
 
     def test_gap_violation_flags_infinite(self):
         pair = self._pair(5.0, 4.9)
-        eb = evec_bound(pair, spectral_norm_a=5.0, x_inf=0.8, n=100, params=NoiseParams(0.05, 0.05))
+        eb = evec_bound(pair, NoiseParams(0.05, 0.05))
         assert not eb.gap_condition_ok
         assert math.isinf(eb.eps_n)
 
@@ -460,7 +473,7 @@ class TestEvecBound:
         pair = self._pair(20.0, 1.0)
         for a in np.linspace(0, 1, 6):
             for b in np.linspace(0, 1, 6):
-                eb = evec_bound(pair, 20.0, 0.8, 100, NoiseParams(float(a), float(b)))
+                eb = evec_bound(pair, NoiseParams(float(a), float(b)))
                 assert eb.b1 >= 0 and eb.b2 >= 0 and eb.b3 >= 0
                 variance_like = (a + b) - (a - b) ** 2
                 explicit = a * (1 - a) + b * (1 - b) + 2 * a * b
@@ -468,7 +481,7 @@ class TestEvecBound:
 
     def test_small_n_allowed(self):
         pair = self._pair(10.0, 1.0, n=2)
-        eb = evec_bound(pair, 10.0, 0.8, 2, NoiseParams(0.0, 0.0))
+        eb = evec_bound(pair, NoiseParams(0.0, 0.0))
         assert eb.b2 == pytest.approx(math.sqrt(math.log(2)))
 
 
@@ -528,6 +541,16 @@ class TestBoundReport:
         }
         assert "c_upper" in parsed["tail_envelope"]
         assert parsed["evec"]["converged"] is True
+
+        # numpy scalars must not leak out of the vectorised moments
+        def leaves(node):
+            if isinstance(node, dict):
+                for child in node.values():
+                    yield from leaves(child)
+            else:
+                yield node
+
+        assert {type(leaf) for leaf in leaves(report)} <= {float, int, bool, str, type(None)}
 
     def test_non_finite_serialized_as_strings(self):
         # a tied cutoff at zero noise gives snr = inf

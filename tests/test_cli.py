@@ -397,7 +397,7 @@ def _edited_config(tmp_path, name, edits, file_name="cfg.ini"):
         if val is None:
             assert cp.remove_option(sec, key)
             continue
-        if not cp.has_section(sec):
+        if sec != cp.default_section and not cp.has_section(sec):
             cp.add_section(sec)
         cp.set(sec, key, val)
     path = tmp_path / file_name
@@ -427,6 +427,7 @@ class TestConfigKeys:
             ("er_setting3.ini", [("noise", "alpha", "0.1")], "noise", "alpha_coef"),
             ("er_setting1.ini", [("model", "n", "999")], "model", "n"),
             ("er_setting1.ini", [("noise", "alpha_grid", "0.01 0.02")], "noise", "alpha_grid"),
+            ("smoke_zero_noise.ini", [("mc", "seed_root", None), ("DEFAULT", "seed_root", "3")], "DEFAULT", "seed_root"),
         ],
     )
     def test_unread_or_conflicting_key_is_rejected(self, tmp_path, capsys, name, edits, section, key):
@@ -436,6 +437,16 @@ class TestConfigKeys:
         assert code == 2
         err = capsys.readouterr().err
         assert str(path) in err and f"[{section}]" in err and key in err
+        assert not base.with_suffix(".csv").exists()
+        assert not base.with_suffix(".json").exists()
+
+    def test_study_error_names_the_file(self, tmp_path, capsys):
+        # k = n passes the key table; the study itself rejects it
+        path = _edited_config(tmp_path, "smoke_zero_noise.ini", [("mc", "k", "60")])
+        base = tmp_path / "res"
+        assert main(["experiment", str(path), "--out", str(base)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {path}: need k < n" in err
         assert not base.with_suffix(".csv").exists()
         assert not base.with_suffix(".json").exists()
 

@@ -172,8 +172,8 @@ class TestRunTopkExperiment:
 
         real = experiments.hamming_bounds_realization
 
-        def inverted(s_k, noisy, k):
-            hb = real(s_k, noisy, k)
+        def inverted(s_k, noisy):
+            hb = real(s_k, noisy)
             return hb._replace(lower=hb.upper + 1)
 
         monkeypatch.setattr(experiments, "hamming_bounds_realization", inverted)
