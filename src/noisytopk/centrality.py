@@ -160,12 +160,7 @@ def leading_eigenvector(
     """
     if g.n < 2:
         raise ValueError(f"need at least two nodes, got n={g.n}")
-    return _leading_eigenpair(g.adjacency_csr(), tol, max_iter)
-
-
-def _leading_eigenpair(adj, tol: float = 1e-10, max_iter: int = 10000) -> tuple[float, np.ndarray, bool]:
-    """:func:`leading_eigenvector` on an adjacency matrix the caller already built."""
-    vals, x, converged, _, _ = _top_eigenpairs(adj, 1, tol, max_iter)
+    vals, x, converged, _, _ = _top_eigenpairs(g.adjacency_csr(), 1, tol, max_iter)
     return float(vals[0]), x, converged
 
 

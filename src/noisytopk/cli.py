@@ -24,10 +24,12 @@ from . import __version__
 from .bounds import bound_report
 from .centrality import degree_scores, spectral_top2, top_k
 from .experiments import (
+    MODELS,
     ExperimentConfig,
     NoiseSchedule,
     git_describe,
     json_text,
+    make_graph,
     run_figure1_profile,
     run_localization,
     run_topk_experiment,
@@ -37,7 +39,7 @@ from .experiments import (
     write_localization_csv,
     write_summary_csv,
 )
-from .graphs import STREAM_VERSION, PaParams, generate_er, generate_pa, generate_small_world, load_edge_list, save_edge_list
+from .graphs import STREAM_VERSION, load_edge_list, save_edge_list
 from .noise import NoiseParams, apply_noise
 
 EXIT_OK = 0
@@ -77,13 +79,12 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p_gen = subs.add_parser("generate", help="write a random graph as an edge list")
-    p_gen.add_argument("model", choices=("er", "pa", "sw"))
+    p_gen.add_argument("model", choices=tuple(MODELS))
     p_gen.add_argument("--n", type=int, required=True, help="number of nodes")
-    p_gen.add_argument("--p", type=float, default=None, help="er: edge probability")
-    p_gen.add_argument("--m", type=int, default=None, help="pa: edges per new node")
-    p_gen.add_argument("--b", type=float, default=1.0, help="pa: attachment offset (default 1)")
-    p_gen.add_argument("--k-ring", type=int, default=None, help="sw: ring degree (even)")
-    p_gen.add_argument("--rewire-p", type=float, default=None, help="sw: rewiring probability")
+    for model, table in MODELS.items():
+        for key, (parse, default) in table.items():
+            need = "required" if default is ... else f"default {default}"
+            p_gen.add_argument(f"--{key.replace('_', '-')}", type=parse, help=f"{model} only, {need}")
     _add_seed(p_gen, "RNG")
     _add_common(p_gen, out_required=True)
     p_gen.set_defaults(func=cmd_generate)
@@ -135,18 +136,9 @@ def _say(args, message: str) -> None:
 
 
 def cmd_generate(args) -> int:
-    if args.model == "er":
-        if args.p is None:
-            raise ValueError("er needs --p")
-        g = generate_er(args.n, args.p, args.seed)
-    elif args.model == "pa":
-        if args.m is None:
-            raise ValueError("pa needs --m")
-        g = generate_pa(PaParams(n=args.n, m=args.m, b=args.b), args.seed)
-    else:
-        if args.k_ring is None or args.rewire_p is None:
-            raise ValueError("sw needs --k-ring and --rewire-p")
-        g = generate_small_world(args.n, args.k_ring, args.rewire_p, args.seed)
+    # every model's flags are registered; make_graph rejects those of another model
+    given = {key: getattr(args, key) for table in MODELS.values() for key in table if getattr(args, key) is not None}
+    g = make_graph(args.model, given, args.n, args.seed)
     save_edge_list(g, args.out)
     _say(args, f"wrote {args.out}: n={g.n} edges={g.num_edges} mean_degree={2 * g.num_edges / g.n:.4f}")
     return EXIT_OK
@@ -255,9 +247,8 @@ def _boolean(text: str) -> bool:
 _COMMON = {"type": ("run", str, ...), "name": ("run", str, None), "seed_root": ("mc", int, 0)}
 _HARNESS = {"k": ("mc", int, ...), "graphs": ("mc", int, ...), "draws": ("mc", int, ...)}
 _MODELS = {
-    "er": {"p": ("model", float, ...)},
-    "pa": {"m": ("model", int, ...), "b": ("model", float, 1.0)},
-    "sw": {"k_ring": ("model", int, ...), "rewire_p": ("model", float, ...)},
+    model: {key: ("model", parse, default) for key, (parse, default) in table.items()}
+    for model, table in MODELS.items()
 }
 # a harness grid varies the flip rates at fixed n, or n under per-size rate schedules
 _NOISE_SWEEP = {"n": ("model", int, ...), "alpha_grid": ("noise", _list_of(float), ...),
@@ -273,9 +264,9 @@ KEYS = {
              "theory_curve": ("mc", _boolean, False)},
     # topk on PA with both centralities over a noise grid: _JACCARD fixes the rest
     "jaccard": {**_HARNESS, **_MODELS["pa"], **_NOISE_SWEEP},
-    "localization": {"n_grid": ("grid", _list_of(int), ...), "b": ("model", float, 1.0), "reps": ("mc", int, 200)},
+    "localization": {"n_grid": ("grid", _list_of(int), ...), "b": _MODELS["pa"]["b"], "reps": ("mc", int, 200)},
     "figure1": {"n": ("model", int, ...), "mean_degree": ("model", int, ...), "rewire_p": ("model", float, 0.1),
-                "pa_m": ("model", int, None), "pa_b": ("model", float, 1.0),
+                "pa_m": ("model", int, None), "pa_b": _MODELS["pa"]["b"],
                 "alpha": ("noise", float, ...), "beta": ("noise", float, ...)},
 }
 _JACCARD = {"kind": "pa", "centrality": "both", "theory_curve": False}

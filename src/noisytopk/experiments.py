@@ -19,17 +19,20 @@ import json
 import math
 import subprocess
 from dataclasses import dataclass, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 from scipy.sparse.csgraph import connected_components
 
 from .bounds import er_expected_hamming_lower_bound, hamming_bounds_realization
-from .centrality import ScoreVector, _leading_eigenpair, degree_scores, hamming, jaccard, leading_eigenvector, top_k
+from .centrality import ScoreVector, degree_scores, hamming, jaccard, leading_eigenvector, top_k
 from .graphs import Graph, PaParams, degrees, generate_er, generate_pa, generate_small_world
 from .noise import NoiseParams, apply_noise, noisy_degree_array
 
 __all__ = [
+    "MODELS",
+    "make_graph",
     "NoiseSchedule",
     "ExperimentConfig",
     "SummaryRow",
@@ -54,6 +57,13 @@ _GOLDEN = 0x9E3779B97F4A7C15
 STREAM_GRAPH = 1
 STREAM_NOISE = 2
 STREAM_TIEBREAK = 3
+
+# each graph model's keys besides n, named as the generator's arguments: key -> (parser, default or ... if required)
+MODELS = {
+    "er": {"p": (float, ...)},
+    "pa": {"m": (int, ...), "b": (float, 1.0)},
+    "sw": {"k_ring": (int, ...), "rewire_p": (float, ...)},
+}
 
 
 def _mix64(x: int) -> int:
@@ -129,8 +139,8 @@ class ExperimentConfig:
     theory_curve: bool = False
 
     def __post_init__(self):
-        if self.model not in ("er", "pa", "sw"):
-            raise ValueError(f"unknown model {self.model!r}")
+        # the model's keys besides n, checked and parsed once, before any graph is drawn
+        self._graph_values = _model_values(self.model, {k: v for k, v in self.model_params.items() if k != "n"})
         if self.k < 1:
             raise ValueError(f"k must be positive, got {self.k}")
         if self.graphs_per_point < 1 or self.noise_draws_per_graph < 1:
@@ -148,14 +158,13 @@ class ExperimentConfig:
                 raise ValueError("n_grid must be strictly increasing")
             if self.alpha is None or self.beta is None:
                 raise ValueError("n_grid mode needs alpha and beta schedules")
-        else:
-            if "n" not in self.model_params:
-                raise ValueError("noise_grid mode needs model_params['n']")
+        if ("n" in self.model_params) == bool(self.n_grid):
+            raise ValueError("model_params['n'] is required with noise_grid and not allowed with n_grid")
         n_min = self.n_grid[0] if self.n_grid else int(self.model_params["n"])
         if self.k >= n_min:
             raise ValueError(f"need k < n at every grid point, got k={self.k}, smallest n={n_min}")
         if self.model == "pa":  # fail before any graph is drawn, not in the first worker
-            PaParams(n=n_min, m=int(self.model_params["m"]), b=float(self.model_params.get("b", 1.0)))
+            PaParams(n=n_min, **self._graph_values)
         if self.theory_curve and self.model != "er":
             raise ValueError("theory_curve is defined for the er model only")
 
@@ -229,14 +238,26 @@ class LocalizationRow:
     n_hub_ties: int
 
 
-def _make_graph(model: str, params: dict, n: int, seed: int) -> Graph:
+def _model_values(model: str, params: dict) -> dict:
+    """params checked against MODELS[model], parsed, with the defaults filled in."""
+    if model not in MODELS:
+        raise ValueError(f"unknown model {model!r}, expected one of {', '.join(MODELS)}")
+    table = MODELS[model]
+    if extra := [key for key in params if key not in table]:
+        raise ValueError(f"{model} does not take {', '.join(extra)}; its parameters are {', '.join(table)}")
+    if missing := [key for key, (_, default) in table.items() if default is ... and key not in params]:
+        raise ValueError(f"{model} needs {', '.join(missing)}")
+    return {key: parse(params[key]) if key in params else default for key, (parse, default) in table.items()}
+
+
+def make_graph(model: str, params: dict, n: int, seed: int) -> Graph:
+    """One graph on n nodes of a MODELS model; a missing or foreign key in params raises ValueError before any draw."""
+    values = _model_values(model, params)
     if model == "er":
-        return generate_er(n, float(params["p"]), seed)
+        return generate_er(n, values["p"], seed)
     if model == "pa":
-        return generate_pa(PaParams(n=n, m=int(params["m"]), b=float(params.get("b", 1.0))), seed)
-    if model == "sw":
-        return generate_small_world(n, int(params["k_ring"]), float(params["rewire_p"]), seed)
-    raise ValueError(f"unknown model {model!r}")
+        return generate_pa(PaParams(n=n, **values), seed)
+    return generate_small_world(n, values["k_ring"], values["rewire_p"], seed)
 
 
 def _run_one_graph(cfg: ExperimentConfig, cell_idx: int, n: int, noise: NoiseParams, graph_idx: int) -> dict:
@@ -245,18 +266,16 @@ def _run_one_graph(cfg: ExperimentConfig, cell_idx: int, n: int, noise: NoisePar
     draws = cfg.noise_draws_per_graph
     graph_seed = derive_seed(cfg.seed_root, STREAM_GRAPH, cell_idx, graph_idx)
     tie_seed = derive_seed(cfg.seed_root, STREAM_TIEBREAK, cell_idx, graph_idx)
-    g = _make_graph(cfg.model, cfg.model_params, n, graph_seed)
+    g = make_graph(cfg.model, cfg._graph_values, n, graph_seed)
 
     true_scores = degree_scores(g)
     s_k = top_k(true_scores, k, tie_seed)
 
     want_evec = cfg.centrality == "both"
-    evec_true_ok = False
-    s_k_evec = None
+    s_k_evec = None  # stays None when the latent solve does not converge
     if want_evec:
         lam1, x, ok = leading_eigenvector(g)
         if ok:
-            evec_true_ok = True
             s_k_evec = top_k(ScoreVector(x, "eigenvector"), k, tie_seed)
 
     dh, lower, upper, jac_deg = (np.empty(draws) for _ in range(4))
@@ -282,12 +301,11 @@ def _run_one_graph(cfg: ExperimentConfig, cell_idx: int, n: int, noise: NoisePar
         out_at_least += hb.out_at_least
 
         if want_evec:
-            adj = y.adjacency_csr()
-            n_comp, _ = connected_components(adj, directed=False)
+            n_comp, _ = connected_components(y.adjacency_csr(), directed=False)
             if n_comp > 1:
                 n_disconnected += 1
-            lam1y, xy, oky = _leading_eigenpair(adj)
-            if evec_true_ok and oky:
+            lam1y, xy, oky = leading_eigenvector(y)
+            if s_k_evec is not None and oky:
                 s_tilde_evec = top_k(ScoreVector(xy, "eigenvector"), k, tie_seed)
                 jac_evec_sum += jaccard(s_k_evec, s_tilde_evec)
                 jac_evec_cnt += 1
@@ -362,35 +380,24 @@ def _aggregate_cell(
 def run_topk_experiment(cfg: ExperimentConfig, threads: int = 1) -> list[SummaryRow]:
     """Run the configured grid study and return one SummaryRow per grid point.
 
-    threads > 1 distributes whole graphs over a process pool; the result
-    is bit-identical to the serial run because every trial's seed depends
-    only on (seed_root, cell, graph, draw) and the aggregation order is
-    fixed by the grid.
+    threads > 1 maps the graphs over a process pool; the result is
+    bit-identical to the serial run because every trial's seed depends
+    only on (seed_root, cell, graph, draw) and both maps return the
+    results in job order, which is grid order.
     """
     cells = cfg.cells()
-    jobs = [
-        (cell_idx, x, n, noise, graph_idx)
-        for cell_idx, (x, n, noise) in enumerate(cells)
-        for graph_idx in range(cfg.graphs_per_point)
-    ]
-    results: dict[tuple[int, int], dict] = {}
+    per_cell = cfg.graphs_per_point
+    jobs = [(cell_idx, n, noise, g) for cell_idx, (_, n, noise) in enumerate(cells) for g in range(per_cell)]
+    run = partial(_run_one_graph, cfg)
     if threads > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
-            futs = {
-                pool.submit(_run_one_graph, cfg, cell_idx, n, noise, graph_idx): (cell_idx, graph_idx)
-                for cell_idx, _, n, noise, graph_idx in jobs
-            }
-            for fut in concurrent.futures.as_completed(futs):
-                results[futs[fut]] = fut.result()
+            results = list(pool.map(run, *zip(*jobs)))
     else:
-        for cell_idx, _, n, noise, graph_idx in jobs:
-            results[(cell_idx, graph_idx)] = _run_one_graph(cfg, cell_idx, n, noise, graph_idx)
-
-    rows = []
-    for cell_idx, (x, n, noise) in enumerate(cells):
-        per_graph = [results[(cell_idx, gi)] for gi in range(cfg.graphs_per_point)]
-        rows.append(_aggregate_cell(cfg, x, n, noise, per_graph))
-    return rows
+        results = list(map(run, *zip(*jobs)))
+    return [
+        _aggregate_cell(cfg, x, n, noise, results[cell_idx * per_cell : (cell_idx + 1) * per_cell])
+        for cell_idx, (x, n, noise) in enumerate(cells)
+    ]
 
 
 def run_localization(
@@ -420,7 +427,7 @@ def run_localization(
         n_ties = 0
         for rep in range(reps):
             seed = derive_seed(seed_root, STREAM_GRAPH, cell_idx, rep)
-            g = generate_pa(PaParams(n=n, m=1, b=b), seed)
+            g = make_graph("pa", {"m": 1, "b": b}, n, seed)
             deg = g.degree_array()
             h = int(np.argmax(deg))
             if int(np.count_nonzero(deg == deg[h])) > 1:
@@ -481,14 +488,14 @@ def run_figure1_profile(
         raise ValueError(f"need 1 <= mean_degree < n, got {mean_degree}, n={n}")
     if pa_m is None:
         pa_m = max(1, int(round(mean_degree / 2)))
-    k_ring = 2 * (mean_degree // 2)
-    models = {
-        "er": generate_er(n, mean_degree / (n - 1), derive_seed(seed, STREAM_GRAPH, 0)),
-        "sw": generate_small_world(n, k_ring, rewire_p, derive_seed(seed, STREAM_GRAPH, 1)),
-        "pa": generate_pa(PaParams(n=n, m=pa_m, b=pa_b), derive_seed(seed, STREAM_GRAPH, 2)),
+    models = {  # the MODELS keys of each graph
+        "er": {"p": mean_degree / (n - 1)},
+        "sw": {"k_ring": 2 * (mean_degree // 2), "rewire_p": rewire_p},
+        "pa": {"m": pa_m, "b": pa_b},
     }
     out: dict = {"n": n, "mean_degree": mean_degree, "alpha": noise.alpha, "beta": noise.beta, "models": {}}
-    for idx, (name, g) in enumerate(models.items()):
+    for idx, (name, params) in enumerate(models.items()):
+        g = make_graph(name, params, n, derive_seed(seed, STREAM_GRAPH, idx))
         noisy_deg = noisy_degree_array(g, noise, derive_seed(seed, STREAM_NOISE, idx))
         dseq = degrees(g)
         rows = [
@@ -503,8 +510,7 @@ def run_figure1_profile(
                 f"requested {mean_degree}"
             )
         if name == "sw":
-            entry["k_ring"] = k_ring
-            entry["rewire_p"] = rewire_p
+            entry.update(params)
         out["models"][name] = entry
     return out
 
@@ -520,20 +526,15 @@ def write_csv(path, header, rows) -> None:
         writer.writerows([repr(v) if isinstance(v, float) else str(v) for v in row] for row in rows)
 
 
-def _rows_to_csv(rows, path) -> None:
+def write_summary_csv(rows: list[SummaryRow] | list[LocalizationRow], path) -> None:
+    """Write SummaryRow or LocalizationRow records; header names match the dataclass fields."""
     if not rows:
         raise ValueError("no rows to write")
     names = [f.name for f in fields(rows[0])]
     write_csv(path, names, ([getattr(row, name) for name in names] for row in rows))
 
 
-def write_summary_csv(rows: list[SummaryRow], path) -> None:
-    """Write SummaryRow records; header names match the dataclass fields."""
-    _rows_to_csv(rows, path)
-
-
-def write_localization_csv(rows: list[LocalizationRow], path) -> None:
-    _rows_to_csv(rows, path)
+write_localization_csv = write_summary_csv
 
 
 def write_figure1_csv(profile: dict, path) -> None:

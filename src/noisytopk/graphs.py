@@ -130,11 +130,16 @@ class Graph:
         return set(zip(self.edges[:, 0].tolist(), self.edges[:, 1].tolist()))
 
     def adjacency_csr(self) -> sparse.csr_matrix:
-        """Symmetric adjacency matrix in CSR form (float64)."""
-        rows = np.concatenate([self.edges[:, 0], self.edges[:, 1]])
-        cols = np.concatenate([self.edges[:, 1], self.edges[:, 0]])
-        data = np.ones(2 * self.num_edges, dtype=np.float64)
-        return sparse.csr_matrix((data, (rows, cols)), shape=(self.n, self.n))
+        """Symmetric adjacency matrix in CSR form (float64; built on the first call, read-only)."""
+        if (adj := self.__dict__.get("_adj")) is None:
+            rows = np.concatenate([self.edges[:, 0], self.edges[:, 1]])
+            cols = np.concatenate([self.edges[:, 1], self.edges[:, 0]])
+            data = np.ones(2 * self.num_edges, dtype=np.float64)
+            adj = sparse.csr_matrix((data, (rows, cols)), shape=(self.n, self.n))
+            for arr in (adj.data, adj.indices, adj.indptr):
+                arr.flags.writeable = False
+            object.__setattr__(self, "_adj", adj)
+        return adj
 
     def neighbors(self, i: int) -> np.ndarray:
         """Sorted neighbor ids of node i."""
@@ -372,7 +377,7 @@ def load_edge_list(path) -> Graph:
         try:
             n = int(header[4:])
         except ValueError as exc:
-            raise ValueError(f"unparsable node count in header {header!r}") from exc
+            raise ValueError(f"{path!r}:1: unparsable node count in header {header!r}") from exc
         with warnings.catch_warnings():
             # a header with no edge rows is a valid empty graph
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
@@ -387,11 +392,15 @@ def load_edge_list(path) -> Graph:
     u, v = edges[:, 0], edges[:, 1]
     if not np.all((0 <= u) & (u < v) & (v < n)):
         _raise_first_bad_line(path, n)
-    return Graph(n, edges)
+    try:
+        return Graph(n, edges)
+    except ValueError as exc:  # the rows are in range, so a row repeats or n < 1
+        _raise_first_bad_line(path, n, str(exc))
 
 
-def _raise_first_bad_line(path, n: int) -> NoReturn:
+def _raise_first_bad_line(path, n: int, reason: str = "malformed edge list") -> NoReturn:
     """Re-scan a rejected edge list and name the file and line of its first bad row."""
+    seen = set()
     with open(path, "r", encoding="ascii") as fh:
         fh.readline()
         for lineno, line in enumerate(fh, start=2):
@@ -404,4 +413,7 @@ def _raise_first_bad_line(path, n: int) -> NoReturn:
                 raise ValueError(f"{path!r}:{lineno}: expected 'u v', got {line.strip()!r}") from None
             if not 0 <= u < v < n:
                 raise ValueError(f"{path!r}:{lineno}: bad edge ({u}, {v}) for n={n}")
-    raise ValueError(f"{path!r}: malformed edge list")
+            if (u, v) in seen:
+                raise ValueError(f"{path!r}:{lineno}: duplicate edge ({u}, {v})")
+            seen.add((u, v))
+    raise ValueError(f"{path!r}: {reason}")

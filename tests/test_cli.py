@@ -11,6 +11,7 @@ import pytest
 
 from noisytopk import __version__
 from noisytopk.cli import build_parser, main
+from noisytopk.experiments import MODELS
 from noisytopk.graphs import STREAM_VERSION, load_edge_list
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -74,6 +75,12 @@ class TestOptionSurface:
         registered = {opt for action in sub._actions for opt in action.option_strings}
         assert registered - {"-h", "--help"} == OPTIONS[command]
 
+    def test_generate_model_flags_follow_the_model_table(self):
+        sub = self._subcommands()["generate"]
+        registered = {opt for action in sub._actions for opt in action.option_strings}
+        model_flags = registered - {"-h", "--help", "--n", "--seed", "--out", "--quiet"}
+        assert model_flags == {f"--{key.replace('_', '-')}" for table in MODELS.values() for key in table}
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -134,6 +141,22 @@ class TestGenerate:
         code = main(["generate", "pa", "--n", "10", "--m", "2", "--b", "inf", "--out", str(out)])
         assert code == 2
         assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "model, flags",
+        [
+            ("pa", ["--m", "2", "--p", "0.9"]),
+            ("pa", ["--m", "2", "--k-ring", "4"]),
+            ("er", ["--p", "0.3", "--m", "2"]),
+            ("er", ["--p", "0.3", "--b", "1"]),
+            ("sw", ["--k-ring", "4", "--rewire-p", "0.1", "--m", "2"]),
+        ],
+    )
+    def test_other_models_flag_is_usage_error(self, tmp_path, capsys, model, flags):
+        out = tmp_path / "g.txt"
+        assert main(["generate", model, "--n", "20", *flags, "--out", str(out)]) == 2
+        assert f"{model} does not take" in capsys.readouterr().err
         assert not out.exists()
 
     def test_invalid_parameter_value(self, tmp_path, capsys):
@@ -447,6 +470,15 @@ class TestConfigKeys:
         assert main(["experiment", str(path), "--out", str(base)]) == 2
         err = capsys.readouterr().err
         assert f"error: {path}: need k < n" in err
+        assert not base.with_suffix(".csv").exists()
+        assert not base.with_suffix(".json").exists()
+
+    def test_worker_error_names_the_file(self, tmp_path, capsys):
+        # p = 1.5 passes the key table; generate_er rejects it inside a worker process
+        path = _edited_config(tmp_path, "smoke_zero_noise.ini", [("model", "p", "1.5")])
+        base = tmp_path / "res"
+        assert main(["experiment", str(path), "--threads", "2", "--out", str(base)]) == 2
+        assert f"error: {path}: edge probability" in capsys.readouterr().err
         assert not base.with_suffix(".csv").exists()
         assert not base.with_suffix(".json").exists()
 

@@ -134,6 +134,23 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             _base_cfg(model="pa", model_params={"m": 2}, theory_curve=True)
 
+    @pytest.mark.parametrize(
+        "model, params, noise_grid, match",
+        [
+            ("er", {"n": 50}, True, "er needs p"),
+            ("sw", {"k_ring": 4}, False, "sw needs rewire_p"),
+            ("er", {"n": 50, "p": 0.1, "m": 3}, True, "er does not take m"),
+            ("pa", {"m": 2, "k_ring": 4}, False, "pa does not take k_ring"),
+            ("er", {"n": 30, "p": 0.3}, False, r"model_params\['n'\]"),
+        ],
+    )
+    def test_model_params_checked_before_any_draw(self, monkeypatch, model, params, noise_grid, match):
+        for name in ("generate_er", "generate_pa", "generate_small_world"):
+            monkeypatch.setattr(f"noisytopk.experiments.{name}", _no_draws)
+        grids = dict(n_grid=(), noise_grid=(NoiseParams(0.1, 0.1),)) if noise_grid else {}
+        with pytest.raises(ValueError, match=match):
+            _base_cfg(model=model, model_params=params, **grids)
+
     def test_schedule_drives_cell_noise(self):
         cfg = _base_cfg(alpha=NoiseSchedule(coef=1.0, n_power=1.0), beta=NoiseSchedule.constant(0.0))
         cells = cfg.cells()
@@ -179,6 +196,26 @@ class TestRunTopkExperiment:
         monkeypatch.setattr(experiments, "hamming_bounds_realization", inverted)
         with pytest.raises(RuntimeError, match="sandwich"):
             run_topk_experiment(_base_cfg())
+
+    def test_every_eigensolve_goes_through_leading_eigenvector(self, monkeypatch):
+        import noisytopk.experiments as experiments
+
+        real = experiments.leading_eigenvector
+        calls = []
+
+        def counted(g, *args, **kwargs):
+            calls.append(g.n)
+            return real(g, *args, **kwargs)
+
+        monkeypatch.setattr(experiments, "leading_eigenvector", counted)
+        run_topk_experiment(_base_cfg(centrality="both", graphs_per_point=3, noise_draws_per_graph=4))
+        # two cells of three latent graphs, each with its own solve and four noisy ones
+        assert len(calls) == 2 * 3 * (1 + 4)
+
+    def test_worker_error_reaches_the_caller(self):
+        # the model table parses p = 1.5; generate_er rejects it inside a worker
+        with pytest.raises(ValueError, match="edge probability"):
+            run_topk_experiment(_base_cfg(model_params={"p": 1.5}), threads=2)
 
     def test_row_per_cell_and_sandwich_means(self):
         cfg = _base_cfg(graphs_per_point=3, noise_draws_per_graph=4)

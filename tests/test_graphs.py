@@ -117,6 +117,13 @@ class TestGraphType:
         with pytest.raises(ValueError):
             g.edges[0, 0] = 2
 
+    def test_adjacency_built_once_and_read_only(self):
+        g = _graph(4, [[0, 1], [1, 2], [2, 3]])
+        adj = g.adjacency_csr()
+        assert g.adjacency_csr() is adj
+        with pytest.raises(ValueError):
+            adj.data[0] = 5.0
+
     def test_empty_graph(self):
         g = _graph(3, [])
         assert g.num_edges == 0
@@ -340,6 +347,18 @@ class TestEdgeListIO:
         path = tmp_path / "bad.edges"
         path.write_text("# n=4\n" + body)
         with pytest.raises(ValueError, match=rf"bad\.edges\W*:{line}:"):
+            load_edge_list(path)
+
+    def test_duplicate_row_is_named(self, tmp_path):
+        path = tmp_path / "bad.edges"
+        path.write_text("# n=4\n0 1\n1 2\n0 1\n")
+        with pytest.raises(ValueError, match=r"bad\.edges\W*:4: duplicate edge \(0, 1\)"):
+            load_edge_list(path)
+
+    def test_unparsable_header_names_file(self, tmp_path):
+        path = tmp_path / "bad.edges"
+        path.write_text("# n=abc\n0 1\n")
+        with pytest.raises(ValueError, match=r"bad\.edges.*# n=abc"):
             load_edge_list(path)
 
 
