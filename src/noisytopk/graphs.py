@@ -126,6 +126,25 @@ class Graph:
         """Lexicographic linear index of every edge (sorted ascending, read-only)."""
         return self._lin
 
+    def _absent_linear_indices(self) -> np.ndarray | None:
+        """Sorted int32 linear indices of the absent pairs (built on the first call, read-only), or None
+        unless they fit in the 24 bytes per edge that edges and _lin take (P - m <= 6m) and P < 2**31."""
+        n_pairs, m = self.n * (self.n - 1) // 2, self.num_edges
+        if n_pairs - m > 6 * m or n_pairs >= 2**31:
+            return None
+        if (table := self.__dict__.get("_absent")) is None:
+            table, filled, starts = np.empty(n_pairs - m, dtype=np.int32), 0, range(0, n_pairs, 1 << 16)
+            cuts = np.searchsorted(self._lin, [*starts, n_pairs])
+            for i, start in enumerate(starts):  # 2**16 pairs at a time, so no temporary outgrows one chunk
+                absent = np.ones(min(1 << 16, n_pairs - start), dtype=bool)
+                absent[self._lin[cuts[i] : cuts[i + 1]] - start] = False
+                idx = np.flatnonzero(absent)
+                np.add(idx, start, out=table[filled : filled + idx.size], casting="unsafe")
+                filled += idx.size
+            table.flags.writeable = False
+            object.__setattr__(self, "_absent", table)
+        return table
+
     def edge_set(self) -> set[tuple[int, int]]:
         return set(zip(self.edges[:, 0].tolist(), self.edges[:, 1].tolist()))
 
@@ -212,7 +231,7 @@ def generate_er(n: int, p: float, seed: int) -> Graph:
         raise ValueError(f"need at least one node, got n={n}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability must lie in [0, 1], got {p}")
-    return _flip_pairs(n, np.empty(0, dtype=np.int64), p, 0.0, _stream_rng(seed, "er"))
+    return _flip_pairs(Graph(n, np.empty((0, 2), dtype=np.int64)), p, 0.0, _stream_rng(seed, "er"))
 
 
 def _skip_positions(rng: np.random.Generator, size: int, q: float) -> np.ndarray:
@@ -233,27 +252,30 @@ def _skip_positions(rng: np.random.Generator, size: int, q: float) -> np.ndarray
     return np.concatenate(runs)
 
 
-def _flip_picks(n: int, present: np.ndarray, alpha: float, beta: float, rng: np.random.Generator):
-    """The pairs one flip of every node pair changes: (deleted positions into present, added linear indices).
+def _flip_picks(a: Graph, alpha: float, beta: float, rng: np.random.Generator):
+    """The pairs one flip of every node pair of a changes: (deleted positions into its edges, added linear indices).
 
-    present holds the sorted linear indices of the m starting edges.  Deleted
-    edges are skip picks among them (beta), added pairs are skip picks among
-    the ranks of the absent pairs (alpha), both sorted, so a draw costs
-    O(m + alpha * n**2), not O(n**2).
+    Deleted edges are skip picks among the m present ones (beta), added pairs are skip picks among the
+    ranks of the absent pairs (alpha), both sorted, so a draw costs O(m + alpha * n**2), not O(n**2).
+    A dense graph pays once for an O(n**2) int32 table of its absent pairs, and a rank is then one
+    gather; on a sparse graph each draw binary-searches the present indices instead.
     """
+    present = a.edge_linear_indices()
     m = present.size
     deleted = _skip_positions(rng, m, beta)
-    ranks = _skip_positions(rng, n * (n - 1) // 2 - m, alpha)
+    ranks = _skip_positions(rng, a.n * (a.n - 1) // 2 - m, alpha)
+    if ranks.size and (absent := a._absent_linear_indices()) is not None:  # alpha = 0 builds no table
+        return deleted, absent[ranks].astype(np.int64)
     # the absent pair of rank r lies past every present index whose own absent-rank is <= r
     return deleted, ranks + np.searchsorted(present - np.arange(m), ranks, side="right")
 
 
-def _flip_pairs(n: int, present: np.ndarray, alpha: float, beta: float, rng: np.random.Generator) -> Graph:
-    """The graph on n nodes after the flips of :func:`_flip_picks` on the edges present."""
-    deleted, added = _flip_picks(n, present, alpha, beta, rng)
+def _flip_pairs(a: Graph, alpha: float, beta: float, rng: np.random.Generator) -> Graph:
+    """The graph after the flips of :func:`_flip_picks` on a."""
+    deleted, added = _flip_picks(a, alpha, beta, rng)
     # a stable sort is timsort, which finds the two sorted runs and merges them in linear time
-    lin = np.sort(np.concatenate([np.delete(present, deleted), added]), kind="stable")
-    return Graph._from_canonical(n, _edges_from_sorted(n, lin), lin)
+    lin = np.sort(np.concatenate([np.delete(a.edge_linear_indices(), deleted), added]), kind="stable")
+    return Graph._from_canonical(a.n, _edges_from_sorted(a.n, lin), lin)
 
 
 def generate_pa(params: PaParams, seed: int) -> Graph:

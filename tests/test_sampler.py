@@ -2,7 +2,8 @@
 
 Its law is checked against the exact enumeration and against the dense
 per-pair oracle in conftest; its edge cases and its cost are checked
-directly.
+directly, and the pairs it adds are checked against the complement of the
+edges on graphs with and without the dense graphs' absent-pair table.
 """
 
 import math
@@ -16,13 +17,16 @@ from hypothesis import strategies as st
 from noisytopk import (
     Graph,
     NoiseParams,
+    PaParams,
     apply_noise,
     exact_noise_distribution,
     generate_er,
+    generate_pa,
+    noisy_degree_array,
     pair_from_index,
     pair_index,
 )
-from noisytopk.graphs import _edges_from_sorted, _skip_positions
+from noisytopk.graphs import _edges_from_sorted, _flip_picks, _skip_positions
 from conftest import dense_noise, random_edges
 
 
@@ -176,3 +180,67 @@ def test_large_sparse_graph_needs_no_per_pair_array():
     assert _is_canonical(y)
     expected = (n - 1) * 0.99 + (n * (n - 1) // 2 - (n - 1)) * 1e-7
     assert abs(y.num_edges - expected) <= 4 * math.sqrt(expected)
+
+
+RATES = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0))
+
+
+@st.composite
+def dense_and_sparse_graphs(draw):
+    seed = draw(st.integers(min_value=0, max_value=2**32))
+    kind = draw(st.sampled_from(["er", "pa", "boundary", "tiny", "empty", "complete"]))
+    if kind == "er":
+        return generate_er(draw(st.integers(1, 80)), draw(st.floats(min_value=0.0, max_value=1.0)), seed)
+    if kind == "pa":
+        n = draw(st.integers(2, 80))
+        return generate_pa(PaParams(n, draw(st.integers(1, min(n - 1, 5))), 1.0), seed)
+    if kind == "boundary":
+        # P - m = 6m exactly when m = P / 7; one edge fewer puts the graph on the sparse side
+        n = draw(st.sampled_from([7, 8, 14, 15, 21, 22, 28, 29]))
+        n_pairs = n * (n - 1) // 2
+        m = n_pairs // 7 + draw(st.sampled_from([-1, 0]))
+        lin = np.sort(np.random.default_rng(seed).choice(n_pairs, m, replace=False))
+        return Graph(n, np.column_stack(pair_from_index(n, lin)))
+    n = draw(st.integers(1, 2)) if kind == "tiny" else draw(st.integers(1, 40))
+    return _complete(n) if kind == "complete" else _graph(n, [])
+
+
+@settings(max_examples=300, deadline=None)
+@given(g=dense_and_sparse_graphs(), alpha=RATES, beta=RATES, seed=st.integers(min_value=0, max_value=2**63))
+def test_added_pairs_are_the_absent_pairs_of_the_drawn_ranks(g, alpha, beta, seed):
+    lin = g.edge_linear_indices()
+    n_pairs, m = g.n * (g.n - 1) // 2, lin.size
+    deleted, added = _flip_picks(g, alpha, beta, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    assert np.array_equal(deleted, _skip_positions(rng, m, beta))
+    ranks = _skip_positions(rng, n_pairs - m, alpha)
+    assert added.dtype == np.int64
+    assert np.array_equal(added, np.setdiff1d(np.arange(n_pairs), lin)[ranks])
+    table = g._absent_linear_indices()
+    assert (table is not None) == (n_pairs - m <= 6 * m)
+    if table is not None:
+        assert np.array_equal(table, np.setdiff1d(np.arange(n_pairs), lin))
+        assert table.nbytes <= g.edges.nbytes + lin.nbytes
+
+
+def test_dense_graph_builds_its_absent_pair_table_once():
+    g = generate_er(300, 0.25, seed=5)
+    noisy_degree_array(g, NoiseParams(0.0, 0.05), seed=0)
+    assert "_absent" not in g.__dict__  # a draw that adds no pair needs no table
+    noisy_degree_array(g, NoiseParams(0.05, 0.05), seed=1)
+    table = g.__dict__["_absent"]
+    for seed in range(2, 6):
+        noisy_degree_array(g, NoiseParams(0.03, 0.05), seed)
+        apply_noise(g, NoiseParams(0.01, 0.2), seed)
+        assert g.__dict__["_absent"] is table and g._absent_linear_indices() is table
+    assert table.dtype == np.int32 and not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0] = 0
+    assert table.nbytes <= g.edges.nbytes + g.edge_linear_indices().nbytes
+
+
+def test_sparse_graph_builds_no_absent_pair_table():
+    g = generate_pa(PaParams(10_000, 5, 1.0), seed=3)
+    noisy_degree_array(g, NoiseParams(1e-3, 0.05), seed=1)
+    assert "_absent" not in g.__dict__
+    assert g._absent_linear_indices() is None
