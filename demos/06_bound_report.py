@@ -10,13 +10,14 @@ at the end shows the per-realization Hamming sandwich in action.
 
 import json
 
+import numpy as np
+
 from noisytopk import (
     NoiseParams,
     PaParams,
     apply_noise,
     bound_report,
     degree_scores,
-    degrees,
     generate_er,
     generate_pa,
     hamming,
@@ -31,8 +32,7 @@ DELTA = 0.05
 
 def show(title, g, params):
     print(f"--- {title} ---")
-    dseq = degrees(g)
-    d_sorted = dseq.sorted_degrees()
+    d_sorted = np.sort(g.degree_array())[::-1]
     print(f"n = {g.n}, edges = {g.num_edges}, "
           f"alpha = {params.alpha}, beta = {params.beta}")
     print(f"top degrees: {list(int(v) for v in d_sorted[:8])}")

@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .centrality import ScoreVector, SpectralPair, TopKSet, spectral_top2
-from .graphs import DegreeSequence, Graph, degrees
+from .graphs import Graph
 from .noise import NoiseParams
 
 __all__ = [
@@ -196,14 +196,26 @@ def _band(m: int, n: int, c_of_n: float | None) -> tuple[float, float]:
     return base - terms.eps2, base + terms.eps2
 
 
-def _ranked(dseq: DegreeSequence, k: int, params: NoiseParams, i_star: int | None = None):
-    """Validated (sorted degrees, 1 - alpha - beta, observed-degree moments by rank)."""
-    d_sorted = dseq.sorted_degrees()
+def _descending(degrees) -> np.ndarray:
+    """The degrees, one per node in any node order, as int64 sorted non-increasingly."""
+    d = np.asarray(degrees, dtype=np.int64)
+    if d.ndim != 1:
+        raise ValueError(f"degrees must be a 1-d array, got shape {d.shape}")
+    return np.sort(d)[::-1]
+
+
+def _ranked(degrees, k: int, params: NoiseParams, i_star: int | None = None):
+    """Validated (sorted degrees, 1 - alpha - beta, observed-degree moments by rank).
+
+    With i_star the extreme-value bands over the n - k ranks past k and over
+    the ranks i_star..n are evaluated, and each needs at least 3 nodes.
+    """
+    d_sorted = _descending(degrees)
     n = d_sorted.size
-    if not 1 <= k < n:
-        raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
-    if i_star is not None and not k < i_star <= n:
-        raise ValueError(f"need k < i_star <= n, got k={k}, i_star={i_star}")
+    if not 1 <= k <= n - (1 if i_star is None else 3):
+        raise ValueError(f"need 1 <= k <= n - {1 if i_star is None else 3}, got k={k}, n={n}")
+    if i_star is not None and not k < i_star <= n - 2:
+        raise ValueError(f"need k < i_star <= n - 2, got k={k}, i_star={i_star}, n={n}")
     contraction = 1.0 - params.alpha - params.beta
     if contraction <= 0.0:
         raise ValueError(
@@ -212,16 +224,17 @@ def _ranked(dseq: DegreeSequence, k: int, params: NoiseParams, i_star: int | Non
     return d_sorted, contraction, noisy_degree_moments(d_sorted, n, params)
 
 
-def default_i_star(dseq: DegreeSequence, k: int, params: NoiseParams) -> int:
+def default_i_star(degrees, k: int, params: NoiseParams) -> int:
     """Smallest rank past k whose degree gap already dominates the bulk noise.
 
     Returns the smallest i with k < i <= n - 2 and
     d_(k) - d_(i) >= 2 sqrt(2 ln(n - i + 1)) sigma_(i) / (1 - alpha - beta),
     falling back to k + 1 when no rank qualifies.  The scan stops at n - 2
     so the returned rank leaves at least 3 tail positions for the
-    correction terms used downstream.
+    correction terms used downstream.  degrees holds one true degree per
+    node, in any node order.
     """
-    d_sorted, contraction, mom = _ranked(dseq, k, params)
+    d_sorted, contraction, mom = _ranked(degrees, k, params)
     n = d_sorted.size
     degree, sigma = d_sorted.tolist(), mom.sigma.tolist()
     for i in range(k + 1, n - 1):
@@ -232,7 +245,7 @@ def default_i_star(dseq: DegreeSequence, k: int, params: NoiseParams) -> int:
 
 
 def separation_report(
-    dseq: DegreeSequence,
+    degrees,
     k: int,
     i_star: int,
     params: NoiseParams,
@@ -248,11 +261,12 @@ def separation_report(
     single-gap variant that needs no i_star split, and the signal-to-noise
     ratio (1 - alpha - beta) (d_(k) - d_(k+1)) / sigma_(k+1).
 
-    i_star is a 1-based rank with k < i_star <= n.
+    degrees holds one true degree per node, in any node order; i_star is
+    a 1-based rank with k < i_star <= n - 2, and k <= n - 3.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    d_sorted, contraction, mom = _ranked(dseq, k, params, i_star)
+    d_sorted, contraction, mom = _ranked(degrees, k, params, i_star)
     n = d_sorted.size
     sig_k, sig_k1, sig_istar = mom.sigma[[k - 1, k, i_star - 1]].tolist()
     delta_bdry = float(d_sorted[k - 1] - d_sorted[k])
@@ -308,7 +322,7 @@ def separation_report(
 
 
 def infeasibility_report(
-    dseq: DegreeSequence,
+    degrees,
     k: int,
     i_star: int,
     params: NoiseParams,
@@ -321,10 +335,11 @@ def infeasibility_report(
     delta_bdry_threshold guards the boundary gap d_(k) - d_(k+1), and
     delta_bdry_bar is the complementary single-gap threshold above which
     the boundary cannot be blamed.  Thresholds are clamped at zero.
+    degrees and the ranks k, i_star are as in :func:`separation_report`.
     """
     if not 0.0 < c1 < 1.0:
         raise ValueError(f"c1 must lie in (0, 1), got {c1}")
-    d_sorted, contraction, mom = _ranked(dseq, k, params, i_star)
+    d_sorted, contraction, mom = _ranked(degrees, k, params, i_star)
     n = d_sorted.size
     sig_k, sig_k1, sig_istar = mom.sigma[[k - 1, k, i_star - 1]].tolist()
 
@@ -420,20 +435,19 @@ def er_expected_hamming_lower_bound(
 
 
 def tail_envelope(
-    dseq: DegreeSequence, k: int, params: NoiseParams, c_of_n: float | None = None
+    degrees, k: int, params: NoiseParams, c_of_n: float | None = None
 ) -> TailEnvelope:
     """Envelope for the maximum noisy degree among the n - k non-top nodes.
 
     c_upper exceeds that maximum with high probability, c_lower sits below
     it; both are centered at the rank-(k+1) moments, and
-    c_upper - c_lower = 2 eps2(n) sigma_(k+1) exactly.
+    c_upper - c_lower = 2 eps2(n) sigma_(k+1) exactly.  degrees holds one
+    true degree per node, in any node order.
     """
-    d_sorted = dseq.sorted_degrees()
+    d_sorted = _descending(degrees)
     n = d_sorted.size
-    if not 1 <= k < n:
-        raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
-    if n - k < 3:
-        raise ValueError(f"need n - k >= 3, got {n - k}")
+    if not 1 <= k <= n - 3:
+        raise ValueError(f"need 1 <= k <= n - 3, got k={k}, n={n}")
     mom = noisy_degree_moments(int(d_sorted[k]), n, params)
     sigma = float(mom.sigma)
     lower, upper = _band(n - k, n, c_of_n)
@@ -534,12 +548,12 @@ def bound_report(
     inf or nan.  The CLI writes the report as strict JSON, with those
     values as the strings 'nan'/'inf'/'-inf'.
     """
-    dseq = degrees(g)
+    deg = g.degree_array()
     n = g.n
     if i_star is None:
-        i_star = default_i_star(dseq, k, params)
-    sep = separation_report(dseq, k, i_star, params, delta, c_of_n)
-    inf_rep = infeasibility_report(dseq, k, i_star, params, c1, c_of_n)
+        i_star = default_i_star(deg, k, params)
+    sep = separation_report(deg, k, i_star, params, delta, c_of_n)
+    inf_rep = infeasibility_report(deg, k, i_star, params, c1, c_of_n)
     out: dict = {
         "note": LEADING_ORDER_NOTE,
         "n": n,
@@ -554,13 +568,10 @@ def bound_report(
         "separation": _fields_past_rank(sep),
         "infeasibility": _fields_past_rank(inf_rep),
         "regime": classify_regime(sep, inf_rep),
+        # the reports above need k <= n - 3, so the envelope's n - k >= 3 and the eigensolve's n >= 3 hold
+        "tail_envelope": tail_envelope(deg, k, params, c_of_n)._asdict(),
     }
-    if n - k >= 3:
-        env = tail_envelope(dseq, k, params, c_of_n)
-        out["tail_envelope"] = {"c_upper": env.c_upper, "c_lower": env.c_lower}
-    else:
-        out["tail_envelope"] = None
-    if include_evec and n >= 3:
+    if include_evec:
         pair = spectral_top2(g, tol=tol, max_iter=max_iter)
         eb = evec_bound(pair, params)
         out["evec"] = {

@@ -7,16 +7,19 @@ Exit codes: 0 success, 2 usage or validation error, 3 runtime failure
 Experiment runs are driven by a key=value config file with sections
 (configparser syntax); KEYS lists the keys each run type reads, and any
 other key exits 2.  Data outputs are deterministic for a fixed seed: wall
-time is printed to stdout, never written into the output files.
+time and the source version are printed to stdout, never written into the
+output files.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import subprocess
 import sys
 import time
 from datetime import datetime, timezone
+from pathlib import Path
 
 import numpy as np
 
@@ -27,7 +30,6 @@ from .experiments import (
     MODELS,
     ExperimentConfig,
     NoiseSchedule,
-    git_describe,
     json_text,
     make_graph,
     run_figure1_profile,
@@ -36,7 +38,6 @@ from .experiments import (
     write_figure1_csv,
     write_csv,
     write_json_mirror,
-    write_localization_csv,
     write_summary_csv,
 )
 from .graphs import STREAM_VERSION, load_edge_list, save_edge_list
@@ -332,6 +333,23 @@ def _noise_grid(alphas: tuple[float, ...], betas: tuple[float, ...]) -> tuple[No
     return tuple(NoiseParams(a, b) for a, b in zip(alphas, betas))
 
 
+def git_describe() -> str:
+    """Best-effort source version string; 'unknown' outside a git checkout."""
+    try:
+        out = subprocess.run(
+            ["git", "describe", "--always", "--dirty"],
+            cwd=Path(__file__).resolve().parent,
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+    except (OSError, subprocess.TimeoutExpired):
+        return "unknown"
+    if out.returncode != 0:
+        return "unknown"
+    return out.stdout.strip() or "unknown"
+
+
 def cmd_experiment(args) -> int:
     run_type, v, cp = _read_config(args.config)
     model = v.get("kind", "all" if run_type == "figure1" else "pa")
@@ -342,7 +360,7 @@ def cmd_experiment(args) -> int:
     try:
         if run_type == "localization":
             rows = run_localization(v["n_grid"], reps=v["reps"], b=v["b"], seed_root=v["seed_root"])
-            write_localization_csv(rows, csv_path)
+            write_summary_csv(rows, csv_path)
         elif run_type == "figure1":
             profile = run_figure1_profile(
                 n=v["n"], mean_degree=v["mean_degree"], noise=NoiseParams(alpha=v["alpha"], beta=v["beta"]),
@@ -377,12 +395,12 @@ def cmd_experiment(args) -> int:
         "seed_root": v["seed_root"],
         "package_version": __version__,
         "stream_version": STREAM_VERSION,
-        "git_describe": git_describe(),
     }
     write_json_mirror(json_path, meta, rows)
 
     elapsed = time.monotonic() - started
-    _say(args, f"wrote {csv_path} and {json_path} (wall time {elapsed:.2f}s)")
+    if not args.quiet:  # the source version goes to stdout only, so the outputs depend on the config alone
+        print(f"wrote {csv_path} and {json_path} (wall time {elapsed:.2f}s, source {git_describe()})")
     return EXIT_OK
 
 

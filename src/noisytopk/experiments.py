@@ -17,17 +17,15 @@ import concurrent.futures
 import csv
 import json
 import math
-import subprocess
 from dataclasses import dataclass, fields
 from functools import partial
-from pathlib import Path
 
 import numpy as np
 from scipy.sparse.csgraph import connected_components
 
 from .bounds import er_expected_hamming_lower_bound, hamming_bounds_realization
 from .centrality import ScoreVector, degree_scores, hamming, jaccard, leading_eigenvector, top_k
-from .graphs import Graph, PaParams, degrees, generate_er, generate_pa, generate_small_world
+from .graphs import Graph, PaParams, generate_er, generate_pa, generate_small_world
 from .noise import NoiseParams, apply_noise, noisy_degree_array
 
 __all__ = [
@@ -42,7 +40,6 @@ __all__ = [
     "run_localization",
     "run_figure1_profile",
     "write_summary_csv",
-    "write_localization_csv",
     "write_figure1_csv",
     "write_csv",
     "write_json_mirror",
@@ -102,10 +99,6 @@ class NoiseSchedule:
     def __post_init__(self):
         if self.coef < 0:
             raise ValueError(f"coef must be nonnegative, got {self.coef}")
-
-    @classmethod
-    def constant(cls, value: float) -> "NoiseSchedule":
-        return cls(coef=value)
 
     def rate(self, n: int) -> float:
         out = self.coef
@@ -380,17 +373,18 @@ def _aggregate_cell(
 def run_topk_experiment(cfg: ExperimentConfig, threads: int = 1) -> list[SummaryRow]:
     """Run the configured grid study and return one SummaryRow per grid point.
 
-    threads > 1 maps the graphs over a process pool; the result is
-    bit-identical to the serial run because every trial's seed depends
-    only on (seed_root, cell, graph, draw) and both maps return the
-    results in job order, which is grid order.
+    threads > 1 maps the graphs over a pool of at most one process per
+    graph; the result is bit-identical to the serial run because every
+    trial's seed depends only on (seed_root, cell, graph, draw) and both
+    maps return the results in job order, which is grid order.
     """
     cells = cfg.cells()
     per_cell = cfg.graphs_per_point
     jobs = [(cell_idx, n, noise, g) for cell_idx, (_, n, noise) in enumerate(cells) for g in range(per_cell)]
     run = partial(_run_one_graph, cfg)
-    if threads > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
+    # a fork-started pool launches every worker at once, so ask for no more than there are jobs
+    if (workers := min(threads, len(jobs))) > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run, *zip(*jobs)))
     else:
         results = list(map(run, *zip(*jobs)))
@@ -497,10 +491,10 @@ def run_figure1_profile(
     for idx, (name, params) in enumerate(models.items()):
         g = make_graph(name, params, n, derive_seed(seed, STREAM_GRAPH, idx))
         noisy_deg = noisy_degree_array(g, noise, derive_seed(seed, STREAM_NOISE, idx))
-        dseq = degrees(g)
+        deg = g.degree_array()
         rows = [
-            (rank + 1, int(node), int(dseq.degrees[node]), int(noisy_deg[node]))
-            for rank, node in enumerate(dseq.order)
+            (rank + 1, int(node), int(deg[node]), int(noisy_deg[node]))
+            for rank, node in enumerate(np.lexsort((np.arange(n), -deg)))  # ties in ascending node id
         ]
         achieved = 2.0 * g.num_edges / n
         entry = {"achieved_mean_degree": achieved, "rows": rows}
@@ -534,9 +528,6 @@ def write_summary_csv(rows: list[SummaryRow] | list[LocalizationRow], path) -> N
     write_csv(path, names, ([getattr(row, name) for name in names] for row in rows))
 
 
-write_localization_csv = write_summary_csv
-
-
 def write_figure1_csv(profile: dict, path) -> None:
     """Flatten a figure profile into (model, rank, node, true_degree, noisy_degree)."""
     write_csv(
@@ -563,23 +554,6 @@ def _json_sanitize(obj):
 def json_text(doc) -> str:
     """Strict JSON text of doc with sorted keys; non-finite floats become 'nan'/'inf'/'-inf'."""
     return json.dumps(_json_sanitize(doc), indent=2, sort_keys=True, allow_nan=False) + "\n"
-
-
-def git_describe() -> str:
-    """Best-effort source version string; 'unknown' outside a git checkout."""
-    try:
-        out = subprocess.run(
-            ["git", "describe", "--always", "--dirty"],
-            cwd=Path(__file__).resolve().parent,
-            capture_output=True,
-            text=True,
-            timeout=10,
-        )
-    except (OSError, subprocess.TimeoutExpired):
-        return "unknown"
-    if out.returncode != 0:
-        return "unknown"
-    return out.stdout.strip() or "unknown"
 
 
 def write_json_mirror(path, meta: dict, rows) -> None:

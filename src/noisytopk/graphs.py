@@ -17,12 +17,10 @@ from scipy import sparse
 
 __all__ = [
     "Graph",
-    "DegreeSequence",
     "PaParams",
     "generate_er",
     "generate_pa",
     "generate_small_world",
-    "degrees",
     "save_edge_list",
     "load_edge_list",
 ]
@@ -33,16 +31,6 @@ def pair_index(n: int, u, v):
     u = np.asarray(u, dtype=np.int64)
     v = np.asarray(v, dtype=np.int64)
     return u * (2 * n - u - 1) // 2 + (v - u - 1)
-
-
-def pair_from_index(n: int, idx):
-    """Invert :func:`pair_index`: linear indices back to (u, v) arrays."""
-    idx = np.asarray(idx, dtype=np.int64)
-    r = np.arange(n, dtype=np.int64)
-    row_starts = r * (2 * n - r - 1) // 2
-    u = np.searchsorted(row_starts, idx, side="right") - 1
-    v = idx - row_starts[u] + u + 1
-    return u, v
 
 
 def _edges_from_sorted(n: int, lin: np.ndarray) -> np.ndarray:
@@ -145,9 +133,6 @@ class Graph:
             object.__setattr__(self, "_absent", table)
         return table
 
-    def edge_set(self) -> set[tuple[int, int]]:
-        return set(zip(self.edges[:, 0].tolist(), self.edges[:, 1].tolist()))
-
     def adjacency_csr(self) -> sparse.csr_matrix:
         """Symmetric adjacency matrix in CSR form (float64; built on the first call, read-only)."""
         if (adj := self.__dict__.get("_adj")) is None:
@@ -173,33 +158,6 @@ class Graph:
         object.__setattr__(g, "n", n)
         g._freeze(np.ascontiguousarray(edges, dtype=np.int64).reshape(-1, 2), lin)
         return g
-
-
-@dataclass(frozen=True)
-class DegreeSequence:
-    """Degrees by node id plus the node order that sorts them non-increasingly.
-
-    ``degrees[order]`` is non-increasing; nodes with equal degree appear in
-    ascending id order so the ranking is reproducible.
-    """
-
-    degrees: np.ndarray
-    order: np.ndarray
-
-    def __post_init__(self):
-        d = np.asarray(self.degrees, dtype=np.int64)
-        o = np.asarray(self.order, dtype=np.int64)
-        if d.shape != o.shape or d.ndim != 1:
-            raise ValueError("degrees and order must be 1-d arrays of equal length")
-        if np.any(np.diff(d[o]) > 0):
-            raise ValueError("order does not sort degrees non-increasingly")
-        d.flags.writeable = False
-        o.flags.writeable = False
-        object.__setattr__(self, "degrees", d)
-        object.__setattr__(self, "order", o)
-
-    def sorted_degrees(self) -> np.ndarray:
-        return self.degrees[self.order]
 
 
 @dataclass(frozen=True)
@@ -374,13 +332,6 @@ def generate_small_world(n: int, k_ring: int, rewire_p: float, seed: int) -> Gra
 
     edges = [(i, v) for i in range(n) for v in adj[i] if i < v]
     return Graph(n, np.array(edges, dtype=np.int64).reshape(-1, 2))
-
-
-def degrees(g: Graph) -> DegreeSequence:
-    """Degree sequence of g with a deterministic non-increasing node order."""
-    d = g.degree_array()
-    order = np.lexsort((np.arange(g.n), -d))
-    return DegreeSequence(degrees=d, order=order)
 
 
 def save_edge_list(g: Graph, path) -> None:

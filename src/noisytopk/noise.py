@@ -17,16 +17,12 @@ bit-identical to apply_noise(a, params, seed).degree_array().
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
 from .graphs import Graph, _edges_from_sorted, _flip_pairs, _flip_picks, _stream_rng
 
-__all__ = ["NoiseParams", "apply_noise", "noisy_degree_array", "exact_noise_distribution"]
-
-# exact enumeration is exponential in the pair count; keep it to toy sizes
-MAX_EXACT_PAIRS = 20
+__all__ = ["NoiseParams", "apply_noise", "noisy_degree_array"]
 
 
 @dataclass(frozen=True)
@@ -61,34 +57,3 @@ def noisy_degree_array(a: Graph, params: NoiseParams, seed: int) -> np.ndarray:
     gained = np.bincount(_edges_from_sorted(a.n, added).ravel(), minlength=a.n)
     return a.degree_array() + gained - np.bincount(a.edges[deleted].ravel(), minlength=a.n)
 
-
-def exact_noise_distribution(
-    a: Graph, params: NoiseParams
-) -> Iterator[tuple[Graph, float]]:
-    """Enumerate every possible observation of a with its exact probability.
-
-    Yields (graph, probability) pairs over all 2**P outcomes, P = C(n, 2).
-    Probabilities sum to 1 up to floating point roundoff.  Refuses graphs
-    with more than MAX_EXACT_PAIRS pairs.
-    """
-    n = a.n
-    n_pairs = n * (n - 1) // 2
-    if n_pairs > MAX_EXACT_PAIRS:
-        raise ValueError(
-            f"exact enumeration needs C(n,2) <= {MAX_EXACT_PAIRS}, got {n_pairs}"
-        )
-    alpha, beta = params.alpha, params.beta
-
-    present = np.zeros(n_pairs, dtype=bool)
-    present[a.edge_linear_indices()] = True
-
-    total = 1 << n_pairs
-    outcomes = np.arange(total, dtype=np.int64)
-    probs = np.ones(total, dtype=np.float64)
-    for p in range(n_pairs):
-        edge, no_edge = (1.0 - beta, beta) if present[p] else (alpha, 1.0 - alpha)
-        probs *= np.where((outcomes >> p) & 1, edge, no_edge)
-
-    for o in range(total):
-        idx = np.flatnonzero((o >> np.arange(n_pairs, dtype=np.int64)) & 1)
-        yield Graph._from_canonical(n, _edges_from_sorted(n, idx), idx), float(probs[o])

@@ -1,14 +1,16 @@
 """Shared oracles and helpers for the test suite.
 
 The dense eigensolver, the dense per-pair noise sampler, the cumulative-sum
-preferential attachment loop, the exact noise enumeration statistics, and
-the quadrature normal CDF are independent reference implementations;
-library code must match them, never the other way around.
+preferential attachment loop, the exact noise enumeration and its
+statistics, the pair-index decoder, and the quadrature normal CDF are
+independent reference implementations; library code must match them,
+never the other way around.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Iterator
 
 import numpy as np
 import scipy.integrate
@@ -19,11 +21,57 @@ from noisytopk import (
     NoiseParams,
     PaParams,
     degree_scores,
-    exact_noise_distribution,
     hamming_bounds_realization,
-    pair_from_index,
 )
 from noisytopk.graphs import _stream_rng
+
+# exact enumeration is exponential in the pair count; keep it to toy sizes
+MAX_EXACT_PAIRS = 20
+
+
+def pair_from_index(n: int, idx):
+    """Invert noisytopk.pair_index: linear indices back to (u, v) arrays."""
+    idx = np.asarray(idx, dtype=np.int64)
+    r = np.arange(n, dtype=np.int64)
+    row_starts = r * (2 * n - r - 1) // 2
+    u = np.searchsorted(row_starts, idx, side="right") - 1
+    v = idx - row_starts[u] + u + 1
+    return u, v
+
+
+def edge_set(g: Graph) -> set[tuple[int, int]]:
+    """The edges of g as a set of (u, v) tuples, u < v."""
+    return set(zip(g.edges[:, 0].tolist(), g.edges[:, 1].tolist()))
+
+
+def exact_noise_distribution(a: Graph, params: NoiseParams) -> Iterator[tuple[Graph, float]]:
+    """Enumerate every possible observation of a with its exact probability.
+
+    Yields (graph, probability) pairs over all 2**P outcomes, P = C(n, 2).
+    Probabilities sum to 1 up to floating point roundoff.  Refuses graphs
+    with more than MAX_EXACT_PAIRS pairs.
+    """
+    n = a.n
+    n_pairs = n * (n - 1) // 2
+    if n_pairs > MAX_EXACT_PAIRS:
+        raise ValueError(
+            f"exact enumeration needs C(n,2) <= {MAX_EXACT_PAIRS}, got {n_pairs}"
+        )
+    alpha, beta = params.alpha, params.beta
+
+    present = np.zeros(n_pairs, dtype=bool)
+    present[a.edge_linear_indices()] = True
+
+    total = 1 << n_pairs
+    outcomes = np.arange(total, dtype=np.int64)
+    probs = np.ones(total, dtype=np.float64)
+    for p in range(n_pairs):
+        edge, no_edge = (1.0 - beta, beta) if present[p] else (alpha, 1.0 - alpha)
+        probs *= np.where((outcomes >> p) & 1, edge, no_edge)
+
+    for o in range(total):
+        idx = np.flatnonzero((o >> np.arange(n_pairs, dtype=np.int64)) & 1)
+        yield Graph._from_canonical(n, np.column_stack(pair_from_index(n, idx)), idx), float(probs[o])
 
 
 def dense_top2(g: Graph):

@@ -1,5 +1,6 @@
 import json
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from noisytopk import (
     default_c_of_n,
     default_i_star,
     degree_scores,
-    degrees,
     er_expected_hamming_lower_bound,
     er_noise_variance_proxy,
     evec_bound,
@@ -35,18 +35,11 @@ from noisytopk import (
     top_k,
 )
 from noisytopk import Graph, ScoreVector, apply_noise
-from noisytopk.graphs import DegreeSequence
 from conftest import normal_cdf_quadrature
 
 
 def _graph(n, edges):
     return Graph(n=n, edges=np.array(edges, dtype=np.int64).reshape(-1, 2))
-
-
-def _dseq(values):
-    d = np.asarray(values, dtype=np.int64)
-    order = np.lexsort((np.arange(d.size), -d))
-    return DegreeSequence(degrees=d, order=order)
 
 
 STAR = _graph(5, [[0, 1], [0, 2], [0, 3], [0, 4]])
@@ -163,8 +156,8 @@ class TestCorrectionTerms:
 class TestSeparationReport:
     def test_zero_noise_collapse(self):
         # sigma terms vanish; conditions reduce to gap >= (2/3) L
-        dseq = _dseq([9, 8, 6, 5, 4, 3, 2, 1, 1, 0])
-        rep = separation_report(dseq, k=2, i_star=4, params=NoiseParams(0.0, 0.0), delta=0.5)
+        deg = np.array([9, 8, 6, 5, 4, 3, 2, 1, 1, 0])
+        rep = separation_report(deg, k=2, i_star=4, params=NoiseParams(0.0, 0.0), delta=0.5)
         assert rep.sigma_bar_bdry == 0.0
         assert rep.bdry_required == pytest.approx((2 / 3) * math.log(2 * 2 / 0.5))
         assert rep.boundary_ok
@@ -174,40 +167,52 @@ class TestSeparationReport:
         assert rep.success_prob_budget == pytest.approx(0.0)
 
     def test_tied_cutoff_fails_boundary(self):
-        dseq = _dseq([9, 9, 9, 9, 8, 7, 6, 5, 4, 3])
-        rep = separation_report(dseq, k=2, i_star=5, params=NoiseParams(0.05, 0.05), delta=0.05)
+        deg = np.array([9, 9, 9, 9, 8, 7, 6, 5, 4, 3])
+        rep = separation_report(deg, k=2, i_star=5, params=NoiseParams(0.05, 0.05), delta=0.05)
         assert rep.delta_bdry == 0.0
         assert not rep.boundary_ok
 
     def test_bulk_gap_dominates_boundary_gap(self):
-        dseq = _dseq([9, 8, 7, 6, 5, 4, 3, 2, 1, 0])
-        rep = separation_report(dseq, k=3, i_star=6, params=NoiseParams(0.1, 0.1), delta=0.1)
+        deg = np.array([9, 8, 7, 6, 5, 4, 3, 2, 1, 0])
+        rep = separation_report(deg, k=3, i_star=6, params=NoiseParams(0.1, 0.1), delta=0.1)
         assert rep.delta_bulk >= rep.delta_bdry
         assert rep.l_k == pytest.approx(math.log(3 / 0.1))
         assert rep.l_bdry == pytest.approx(math.log(3 * 3 / 0.1))
 
     def test_snr_formula(self):
-        dseq = _dseq([9, 8, 7, 6, 5, 4, 3, 2, 1, 0])
+        deg = np.array([9, 8, 7, 6, 5, 4, 3, 2, 1, 0])
         params = NoiseParams(0.1, 0.2)
-        rep = separation_report(dseq, k=3, i_star=6, params=params, delta=0.1)
+        rep = separation_report(deg, k=3, i_star=6, params=params, delta=0.1)
         sig = noisy_degree_moments(d=6, n=10, params=params).sigma
         assert rep.snr == pytest.approx(0.7 * 1 / sig, abs=1e-12)
 
     def test_vacuous_boundary_when_istar_adjacent(self):
-        dseq = _dseq([9, 8, 7, 6, 5, 4, 3, 2, 1, 0])
-        rep = separation_report(dseq, k=3, i_star=4, params=NoiseParams(0.1, 0.1), delta=0.1)
+        deg = np.array([9, 8, 7, 6, 5, 4, 3, 2, 1, 0])
+        rep = separation_report(deg, k=3, i_star=4, params=NoiseParams(0.1, 0.1), delta=0.1)
         assert rep.boundary_ok
         assert rep.bdry_required == 0.0
         assert rep.sigma_bar_bdry == 0.0
 
     def test_domain_guards(self):
-        dseq = _dseq([4, 3, 2, 1, 0])
+        deg = np.array([4, 3, 2, 1, 0])
         with pytest.raises(ValueError):
-            separation_report(dseq, k=2, i_star=2, params=NoiseParams(0.1, 0.1), delta=0.1)
+            separation_report(deg, k=2, i_star=2, params=NoiseParams(0.1, 0.1), delta=0.1)
         with pytest.raises(ValueError):
-            separation_report(dseq, k=2, i_star=4, params=NoiseParams(0.6, 0.5), delta=0.1)
+            separation_report(deg, k=2, i_star=4, params=NoiseParams(0.6, 0.5), delta=0.1)
         with pytest.raises(ValueError):
-            separation_report(dseq, k=2, i_star=4, params=NoiseParams(0.1, 0.1), delta=1.5)
+            separation_report(deg, k=2, i_star=4, params=NoiseParams(0.1, 0.1), delta=1.5)
+
+    def test_rank_domain_errors_name_the_argument(self):
+        deg = np.array([5, 4, 3, 2, 1, 0])
+        params = NoiseParams(0.1, 0.1)
+        for report in (partial(separation_report, delta=0.1), infeasibility_report):
+            with pytest.raises(ValueError, match=r"need 1 <= k <= n - 3, got k=4, n=6"):
+                report(deg, k=4, i_star=5, params=params)
+            with pytest.raises(ValueError, match=r"need k < i_star <= n - 2, got k=2, i_star=5, n=6"):
+                report(deg, k=2, i_star=5, params=params)
+            with pytest.raises(ValueError, match=r"need alpha \+ beta < 1"):
+                report(deg, k=2, i_star=4, params=NoiseParams(0.6, 0.5))
+            report(deg, k=3, i_star=4, params=params)  # the largest admissible ranks
 
     def test_dense_er_boundary_rarely_holds(self):
         # dense homogeneous degrees leave tiny gaps at the cutoff, far
@@ -217,7 +222,7 @@ class TestSeparationReport:
         seeds = 100
         for seed in range(seeds):
             g = generate_er(1000, 0.25, seed=seed)
-            rep = separation_report(degrees(g), k=5, i_star=55, params=params, delta=0.05)
+            rep = separation_report(g.degree_array(), k=5, i_star=55, params=params, delta=0.05)
             fails += int(not rep.boundary_ok)
         assert fails >= 95
 
@@ -225,47 +230,78 @@ class TestSeparationReport:
 class TestDefaultIStar:
     def test_large_gap_right_after_k(self):
         values = [39, 39, 39] + [10] * 37
-        i_star = default_i_star(_dseq(values), k=3, params=NoiseParams(0.01, 0.01))
+        i_star = default_i_star(np.array(values), k=3, params=NoiseParams(0.01, 0.01))
         assert i_star == 4
 
     def test_flat_sequence_falls_back(self):
         values = [10] * 30
-        i_star = default_i_star(_dseq(values), k=3, params=NoiseParams(0.1, 0.1))
+        i_star = default_i_star(np.array(values), k=3, params=NoiseParams(0.1, 0.1))
         assert i_star == 4
 
     def test_gradual_decay_picks_interior_rank(self):
         values = [35, 33, 31, 30, 29, 28, 27, 26, 15, 10] + [5] * 30
         params = NoiseParams(0.05, 0.05)
-        i_star = default_i_star(_dseq(values), k=3, params=params)
+        i_star = default_i_star(np.array(values), k=3, params=params)
         assert 3 < i_star <= 40
-        dsorted = _dseq(values).sorted_degrees()
+        dsorted = np.sort(values)[::-1]
         mom = noisy_degree_moments(d=int(dsorted[i_star - 1]), n=40, params=params)
         need = 2 * math.sqrt(2 * math.log(40 - i_star + 1)) * mom.sigma / 0.9
         assert dsorted[2] - dsorted[i_star - 1] >= need
 
 
+class TestDegreeArrays:
+    def test_not_one_dimensional_rejected(self):
+        deg = np.array([[5, 4, 3], [2, 1, 0]])
+        params = NoiseParams(0.1, 0.1)
+        for report in (
+            lambda: default_i_star(deg, 1, params),
+            lambda: separation_report(deg, 1, 3, params, delta=0.05),
+            lambda: infeasibility_report(deg, 1, 3, params),
+            lambda: tail_envelope(deg, 1, params),
+        ):
+            with pytest.raises(ValueError, match="1-d"):
+                report()
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_every_degree_report_ignores_node_order(self, data):
+        n = data.draw(st.integers(6, 40))
+        deg = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n)))
+        shuffled = deg[np.array(data.draw(st.permutations(range(n))))]
+        k = data.draw(st.integers(1, n - 3))
+        i_star = data.draw(st.integers(k + 1, n - 2))
+        params = NoiseParams(data.draw(st.floats(0.0, 0.45)), data.draw(st.floats(0.0, 0.45)))
+        for report in (
+            lambda d: default_i_star(d, k, params),
+            lambda d: separation_report(d, k, i_star, params, delta=0.05),
+            lambda d: infeasibility_report(d, k, i_star, params),
+            lambda d: tail_envelope(d, k, params),
+        ):
+            assert report(shuffled) == report(deg)
+
+
 class TestInfeasibilityReport:
     def test_flat_tail_is_boundary_infeasible(self):
-        dseq = _dseq([9, 9, 9, 9, 8, 7, 6, 5, 4, 3])
-        rep = infeasibility_report(dseq, k=2, i_star=5, params=NoiseParams(0.05, 0.05))
+        deg = np.array([9, 9, 9, 9, 8, 7, 6, 5, 4, 3])
+        rep = infeasibility_report(deg, k=2, i_star=5, params=NoiseParams(0.05, 0.05))
         assert rep.bdry_infeasible
 
     def test_zero_noise_thresholds_vanish(self):
-        dseq = _dseq([9, 8, 7, 6, 5, 4, 3, 2, 1, 0])
-        rep = infeasibility_report(dseq, k=3, i_star=5, params=NoiseParams(0.0, 0.0))
+        deg = np.array([9, 8, 7, 6, 5, 4, 3, 2, 1, 0])
+        rep = infeasibility_report(deg, k=3, i_star=5, params=NoiseParams(0.0, 0.0))
         assert rep.delta_bulk_threshold == 0.0
         assert rep.delta_bdry_threshold == 0.0
         assert rep.delta_bdry_bar == 0.0
         assert not rep.bulk_infeasible
         assert not rep.bdry_infeasible
-        tied = _dseq([9, 8, 8, 8, 5, 4, 3, 2, 1, 0])
+        tied = np.array([9, 8, 8, 8, 5, 4, 3, 2, 1, 0])
         rep = infeasibility_report(tied, k=2, i_star=5, params=NoiseParams(0.0, 0.0))
         assert rep.bdry_infeasible  # zero gap <= zero threshold, inclusive
 
     def test_c1_domain(self):
-        dseq = _dseq([9, 8, 7, 6, 5, 4, 3, 2, 1, 0])
+        deg = np.array([9, 8, 7, 6, 5, 4, 3, 2, 1, 0])
         with pytest.raises(ValueError):
-            infeasibility_report(dseq, k=3, i_star=5, params=NoiseParams(0.1, 0.1), c1=1.0)
+            infeasibility_report(deg, k=3, i_star=5, params=NoiseParams(0.1, 0.1), c1=1.0)
 
     def test_dense_er_boundary_infeasible(self):
         params = NoiseParams(0.05, 0.05)
@@ -273,20 +309,20 @@ class TestInfeasibilityReport:
         seeds = 100
         for seed in range(seeds):
             g = generate_er(1000, 0.25, seed=seed)
-            rep = infeasibility_report(degrees(g), k=5, i_star=55, params=params, c1=0.5)
+            rep = infeasibility_report(g.degree_array(), k=5, i_star=55, params=params, c1=0.5)
             hits += int(rep.bdry_infeasible)
         assert hits >= 95
 
     def test_threshold_monotonicity_in_noise(self):
-        dseq = _dseq([25, 22, 20, 18, 16, 14, 12, 10, 8, 6] + [2] * 20)
+        deg = np.array([25, 22, 20, 18, 16, 14, 12, 10, 8, 6] + [2] * 20)
         alphas = np.linspace(0.0, 0.45, 10)
         bulk = []
         bdry_bar = []
         sig_bar = []
         for a in alphas:
             params = NoiseParams(float(a), 0.3)
-            rep = infeasibility_report(dseq, k=3, i_star=6, params=params)
-            sep = separation_report(dseq, k=3, i_star=6, params=params, delta=0.05)
+            rep = infeasibility_report(deg, k=3, i_star=6, params=params)
+            sep = separation_report(deg, k=3, i_star=6, params=params, delta=0.05)
             bulk.append(rep.delta_bulk_threshold)
             bdry_bar.append(rep.delta_bdry_bar)
             sig_bar.append(sep.sigma_bar_bdry)
@@ -295,7 +331,7 @@ class TestInfeasibilityReport:
         assert np.all(np.diff(sig_bar) >= -1e-12)
         betas = np.linspace(0.0, 0.45, 10)
         bulk = [
-            infeasibility_report(dseq, k=3, i_star=6, params=NoiseParams(0.3, float(b))).delta_bulk_threshold
+            infeasibility_report(deg, k=3, i_star=6, params=NoiseParams(0.3, float(b))).delta_bulk_threshold
             for b in betas
         ]
         assert np.all(np.diff(bulk) >= -1e-12)
@@ -412,26 +448,26 @@ class TestErLowerBound:
 class TestTailEnvelope:
     def test_zero_noise_pins_next_degree(self):
         g = generate_er(50, 0.3, seed=4)
-        dseq = degrees(g)
-        env = tail_envelope(dseq, k=5, params=NoiseParams(0.0, 0.0))
-        d6 = float(dseq.sorted_degrees()[5])
+        deg = g.degree_array()
+        env = tail_envelope(deg, k=5, params=NoiseParams(0.0, 0.0))
+        d6 = float(np.sort(deg)[::-1][5])
         assert env.c_upper == pytest.approx(d6, abs=1e-12)
         assert env.c_lower == pytest.approx(d6, abs=1e-12)
 
     def test_width_identity(self):
         g = generate_er(200, 0.2, seed=8)
-        dseq = degrees(g)
+        deg = g.degree_array()
         params = NoiseParams(0.07, 0.12)
-        env = tail_envelope(dseq, k=10, params=params)
+        env = tail_envelope(deg, k=10, params=params)
         terms = correction_terms(m=190, n=200)
-        sig = noisy_degree_moments(d=int(dseq.sorted_degrees()[10]), n=200, params=params).sigma
+        sig = noisy_degree_moments(d=int(np.sort(deg)[::-1][10]), n=200, params=params).sigma
         assert env.c_upper - env.c_lower == pytest.approx(2 * terms.eps2 * sig, abs=1e-12)
         assert env.c_lower <= env.c_upper
 
     def test_domain_guards(self):
         g = generate_er(10, 0.5, seed=1)
         with pytest.raises(ValueError):
-            tail_envelope(degrees(g), k=8, params=NoiseParams(0.1, 0.1))
+            tail_envelope(g.degree_array(), k=8, params=NoiseParams(0.1, 0.1))
 
 
 class TestEvecBound:

@@ -9,10 +9,11 @@ from pathlib import Path
 
 import pytest
 
-from noisytopk import __version__
+from noisytopk import __version__, cli
 from noisytopk.cli import build_parser, main
 from noisytopk.experiments import MODELS
 from noisytopk.graphs import STREAM_VERSION, load_edge_list
+from conftest import edge_set
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -188,7 +189,7 @@ class TestPerturb:
         capsys.readouterr()
         code = main(["perturb", "--in", str(src), "--alpha", "0.2", "--beta", "0.3", "--seed", "4", "--out", str(out)])
         assert code == 0
-        g, y = load_edge_list(src).edge_set(), load_edge_list(out).edge_set()
+        g, y = edge_set(load_edge_list(src)), edge_set(load_edge_list(out))
         added, deleted = self._counts(capsys.readouterr().out)
         assert (added, deleted) == (len(y - g), len(g - y))
         assert added > 0 and deleted > 0
@@ -295,6 +296,19 @@ class TestBounds:
         doc = json.loads(dst.read_text(), parse_constant=reject)
         assert doc["separation"]["snr"] == "inf"
 
+    @pytest.mark.parametrize(
+        "n, flags, message",
+        [
+            (10, ["--k", "8"], "need 1 <= k <= n - 3, got k=8, n=10"),
+            (30, ["--k", "3", "--i-star", "29"], "need k < i_star <= n - 2, got k=3, i_star=29, n=30"),
+        ],
+    )
+    def test_rank_domain_error_names_k_i_star_and_n(self, tmp_path, capsys, n, flags, message):
+        src = _write_graph(tmp_path, n=n, p=0.5)
+        code = main(["bounds", "--in", str(src), *flags, "--alpha", "0.05", "--beta", "0.05"])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_bad_noise_is_usage_error(self, tmp_path, capsys):
         src = _write_graph(tmp_path)
         code = main(["bounds", "--in", str(src), "--k", "3", "--alpha", "0.7", "--beta", "0.5"])
@@ -386,6 +400,25 @@ class TestExperiment:
         ja = json.loads(base_a.with_suffix(".json").read_text())
         jb = json.loads(base_b.with_suffix(".json").read_text())
         assert ja["rows"] == jb["rows"]
+
+    def test_json_meta_depends_on_the_config_alone(self, tmp_path, capsys, monkeypatch):
+        def no_git():
+            raise AssertionError("--quiet must not ask git for the source version")
+
+        monkeypatch.setattr(cli, "git_describe", no_git)
+        base = tmp_path / "smoke"
+        code = main(["experiment", str(CONFIGS / "smoke_zero_noise.ini"), "--out", str(base), "--quiet"])
+        assert code == 0
+        assert capsys.readouterr().out == ""
+        meta = json.loads(base.with_suffix(".json").read_text())["meta"]
+        assert set(meta) == {"experiment", "config", "seed_root", "package_version", "stream_version"}
+
+    def test_source_version_goes_to_stdout(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "git_describe", lambda: "v0-test")
+        base = tmp_path / "smoke"
+        assert main(["experiment", str(CONFIGS / "smoke_zero_noise.ini"), "--out", str(base)]) == 0
+        assert "source v0-test)" in capsys.readouterr().out
+        assert "v0-test" not in base.with_suffix(".json").read_text()
 
     def test_threads_flag_matches_serial(self, tmp_path):
         base_a = tmp_path / "serial"

@@ -17,7 +17,6 @@ from noisytopk import (
     run_topk_experiment,
     write_figure1_csv,
     write_json_mirror,
-    write_localization_csv,
     write_summary_csv,
 )
 
@@ -59,7 +58,7 @@ class TestDeriveSeed:
 
 class TestNoiseSchedule:
     def test_constant(self):
-        sched = NoiseSchedule.constant(0.07)
+        sched = NoiseSchedule(0.07)
         assert sched.rate(10) == 0.07
         assert sched.rate(10**6) == 0.07
 
@@ -81,8 +80,8 @@ def _base_cfg(**over):
         graphs_per_point=2,
         noise_draws_per_graph=2,
         seed_root=11,
-        alpha=NoiseSchedule.constant(0.05),
-        beta=NoiseSchedule.constant(0.05),
+        alpha=NoiseSchedule(0.05),
+        beta=NoiseSchedule(0.05),
         n_grid=(20, 40),
     )
     kw.update(over)
@@ -152,7 +151,7 @@ class TestExperimentConfig:
             _base_cfg(model=model, model_params=params, **grids)
 
     def test_schedule_drives_cell_noise(self):
-        cfg = _base_cfg(alpha=NoiseSchedule(coef=1.0, n_power=1.0), beta=NoiseSchedule.constant(0.0))
+        cfg = _base_cfg(alpha=NoiseSchedule(coef=1.0, n_power=1.0), beta=NoiseSchedule(0.0))
         cells = cfg.cells()
         assert cells[0][2].alpha == pytest.approx(1 / 20)
         assert cells[1][2].alpha == pytest.approx(1 / 40)
@@ -251,6 +250,32 @@ class TestRunTopkExperiment:
         parallel = run_topk_experiment(cfg, threads=3)
         assert serial == parallel
 
+    def test_pool_has_at_most_one_worker_per_job(self, monkeypatch):
+        import noisytopk.experiments as experiments
+
+        asked = []
+
+        class RecordingPool:  # maps in this process, so the test starts none
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(experiments.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        cfg = _base_cfg()  # two cells of two graphs: four jobs
+        serial = run_topk_experiment(cfg, threads=1)
+        assert run_topk_experiment(cfg, threads=64) == serial
+        assert asked == [4]
+        assert run_topk_experiment(_base_cfg(n_grid=(20,), graphs_per_point=1), threads=64)
+        assert asked == [4]  # one job runs without a pool
+
     def test_threads_give_identical_pa_rows(self):
         cfg = ExperimentConfig(
             model="pa",
@@ -259,8 +284,8 @@ class TestRunTopkExperiment:
             graphs_per_point=3,
             noise_draws_per_graph=3,
             seed_root=21,
-            alpha=NoiseSchedule.constant(0.05),
-            beta=NoiseSchedule.constant(0.05),
+            alpha=NoiseSchedule(0.05),
+            beta=NoiseSchedule(0.05),
             n_grid=(60, 200),
         )
         # repr compares every float bit for bit, NaN included
@@ -375,6 +400,8 @@ class TestRunFigure1Profile:
             assert [r[0] for r in rows] == list(range(1, 61))
             true_deg = [r[2] for r in rows]
             assert all(a >= b for a, b in zip(true_deg, true_deg[1:]))
+            # nodes of equal true degree keep ascending node id
+            assert all(a[1] < b[1] for a, b in zip(rows, rows[1:]) if a[2] == b[2])
             assert all(r[3] >= 0 for r in rows)
 
     def test_mean_degree_domain(self):
@@ -430,13 +457,11 @@ class TestWriters:
     def test_empty_rows_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             write_summary_csv([], tmp_path / "empty.csv")
-        with pytest.raises(ValueError):
-            write_localization_csv([], tmp_path / "empty.csv")
 
     def test_localization_csv(self, tmp_path):
         rows = run_localization([30], reps=5, seed_root=1)
         path = tmp_path / "loc.csv"
-        write_localization_csv(rows, path)
+        write_summary_csv(rows, path)
         with open(path, newline="") as fh:
             records = list(csv.DictReader(fh))
         assert len(records) == 1

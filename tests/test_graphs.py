@@ -8,19 +8,18 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from noisytopk import (
-    DegreeSequence,
     Graph,
+    NoiseParams,
     PaParams,
-    degrees,
     generate_er,
     generate_pa,
     generate_small_world,
     load_edge_list,
-    pair_from_index,
     pair_index,
     save_edge_list,
 )
-from conftest import dense_pa, hill_tail_exponent
+from noisytopk import experiments
+from conftest import dense_pa, hill_tail_exponent, pair_from_index
 
 
 def _graph(n, edges):
@@ -268,21 +267,21 @@ class TestSmallWorld:
 
 class TestDegrees:
     def test_empty_graph(self):
-        assert degrees(_graph(3, [])).degrees.tolist() == [0, 0, 0]
+        assert _graph(3, []).degree_array().tolist() == [0, 0, 0]
 
     def test_path(self):
-        dseq = degrees(_graph(3, [[0, 1], [1, 2]]))
-        assert dseq.degrees.tolist() == [1, 2, 1]
-        assert dseq.order.tolist() == [1, 0, 2]
+        assert _graph(3, [[0, 1], [1, 2]]).degree_array().tolist() == [1, 2, 1]
 
     def test_star(self):
-        dseq = degrees(_graph(5, [[0, 1], [0, 2], [0, 3], [0, 4]]))
-        assert dseq.degrees.tolist() == [4, 1, 1, 1, 1]
-        assert dseq.sorted_degrees().tolist() == [4, 1, 1, 1, 1]
+        assert _graph(5, [[0, 1], [0, 2], [0, 3], [0, 4]]).degree_array().tolist() == [4, 1, 1, 1, 1]
 
-    def test_order_sorts_ties_by_node_id(self):
-        dseq = degrees(_graph(4, [[0, 1], [2, 3]]))
-        assert dseq.order.tolist() == [0, 1, 2, 3]
+    def test_order_sorts_ties_by_node_id(self, monkeypatch):
+        # figure1 ranks nodes by true degree; on an all-ties graph that is node id order
+        tied = _graph(4, [[0, 1], [2, 3]])
+        monkeypatch.setattr(experiments, "make_graph", lambda *args: tied)
+        profile = experiments.run_figure1_profile(n=4, mean_degree=1, noise=NoiseParams(0.0, 0.0), seed=0)
+        for entry in profile["models"].values():
+            assert [r[1] for r in entry["rows"]] == [0, 1, 2, 3]
 
     def test_generators_satisfy_invariants(self):
         rng = np.random.default_rng(0)
@@ -360,9 +359,3 @@ class TestEdgeListIO:
         path.write_text("# n=abc\n0 1\n")
         with pytest.raises(ValueError, match=r"bad\.edges.*# n=abc"):
             load_edge_list(path)
-
-
-class TestDegreeSequenceType:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            DegreeSequence(degrees=np.array([1, 2]), order=np.array([0]))

@@ -7,9 +7,9 @@ from noisytopk import (
     Graph,
     NoiseParams,
     apply_noise,
-    exact_noise_distribution,
     generate_er,
 )
+from conftest import exact_noise_distribution
 
 
 def _graph(n, edges):
