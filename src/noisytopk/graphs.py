@@ -8,6 +8,7 @@ their parameters and an explicit integer seed.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import NoReturn
@@ -33,16 +34,27 @@ def pair_index(n: int, u, v):
     return u * (2 * n - u - 1) // 2 + (v - u - 1)
 
 
-def _edges_from_sorted(n: int, lin: np.ndarray) -> np.ndarray:
-    """The (m, 2) edge array of sorted linear indices, decoded by counting the indices of each row."""
+def _row_counts(n: int, lin: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For sorted linear indices: the count in each row u, and the offset by which u's indices exceed their column."""
     r = np.arange(n, dtype=np.int64)
     row_starts = r * (2 * n - r - 1) // 2
-    counts = np.diff(np.searchsorted(lin, row_starts), append=lin.size)
+    return np.diff(np.searchsorted(lin, row_starts), append=lin.size), row_starts - r - 1
+
+
+def _edges_from_sorted(n: int, lin: np.ndarray) -> np.ndarray:
+    """The (m, 2) edge array of sorted linear indices, decoded by counting the indices of each row."""
+    counts, offsets = _row_counts(n, lin)
     edges = np.empty((lin.size, 2), dtype=np.int64)
-    edges[:, 0] = np.repeat(r, counts)
+    edges[:, 0] = np.repeat(np.arange(n, dtype=np.int64), counts)
     # written in place: a second full-size temporary made dense draws about a third slower
-    np.subtract(lin, np.repeat(row_starts - r - 1, counts), out=edges[:, 1])
+    np.subtract(lin, np.repeat(offsets, counts), out=edges[:, 1])
     return edges
+
+
+def _endpoint_counts(n: int, lin: np.ndarray) -> np.ndarray:
+    """How many of the pairs with sorted linear indices lin touch each node (int64), decoding no pair."""
+    counts, offsets = _row_counts(n, lin)
+    return counts + np.bincount(lin - np.repeat(offsets, counts), minlength=n)
 
 
 # Version of the random streams behind every seeded function.  Version 2 gives each
@@ -103,11 +115,8 @@ class Graph:
     def degree_array(self) -> np.ndarray:
         """Degree of every node, indexed by node id (counted on the first call, read-only)."""
         if (deg := self.__dict__.get("_deg")) is None:
-            # rows are sorted by their first endpoint, so its counts take one searchsorted
-            first = np.diff(np.searchsorted(self.edges[:, 0], np.arange(self.n)), append=self.num_edges)
-            deg = first + np.bincount(self.edges[:, 1], minlength=self.n)
+            object.__setattr__(self, "_deg", deg := _endpoint_counts(self.n, self._lin))
             deg.flags.writeable = False
-            object.__setattr__(self, "_deg", deg)
         return deg
 
     def edge_linear_indices(self) -> np.ndarray:
@@ -181,9 +190,9 @@ class PaParams:
 def generate_er(n: int, p: float, seed: int) -> Graph:
     """Erdos-Renyi graph: each of the n(n-1)/2 pairs is an edge with prob p.
 
-    The edges are the picks of geometric skips over the pairs in
-    lexicographic order, so the cost grows with the edge count, not with
-    n**2, and the realization is reproducible bit-for-bit for a fixed seed.
+    The edges are the picks of geometric skips (from exponentials for p < 1/3) over the
+    pairs in lexicographic order, so the cost grows with the edge count, not with n**2,
+    and the realization is reproducible bit-for-bit for a fixed seed.
     """
     if n < 1:
         raise ValueError(f"need at least one node, got n={n}")
@@ -195,15 +204,21 @@ def generate_er(n: int, p: float, seed: int) -> Graph:
 def _skip_positions(rng: np.random.Generator, size: int, q: float) -> np.ndarray:
     """Sorted positions in range(size), each picked independently with probability q.
 
-    Draws the geometric gaps between consecutive picks (Batagelj & Brandes,
-    Phys. Rev. E 71, 2005), so the cost grows with the picks, not with size.
+    Draws the geometric gaps between picks (Batagelj & Brandes, Phys. Rev. E 71, 2005), so the cost
+    grows with the picks, not with size; for q < 1/3 a gap is ceil(E / -log1p(-q)) of an exponential E.
     """
     runs = [np.empty(0, dtype=np.int64)]
     last = -1
     while q > 0.0 and last < size - 1:
-        expected = (size - 1 - last) * q
+        count = int((expected := (size - 1 - last) * q) + 4.0 * expected**0.5) + 16
+        if q < 1 / 3:  # numpy's own inversion in geometric, divided as there: a reciprocal rounds differently
+            gaps = rng.standard_exponential(count)
+            with np.errstate(over="ignore"):  # an infinite gap at q near 1e-308 is clipped below
+                np.ceil(np.divide(gaps, -math.log1p(-q), out=gaps), out=gaps)
+        else:
+            gaps = rng.geometric(q, count)
         # a gap past size ends the run either way; clipping keeps the sum from overflowing
-        gaps = np.minimum(rng.geometric(q, int(expected + 4.0 * expected**0.5) + 16), size + 1)
+        gaps = np.minimum(gaps, size + 1, out=gaps).astype(np.int64, copy=False)
         picks = last + np.cumsum(gaps)
         runs.append(picks[picks < size])
         last = int(picks[-1])

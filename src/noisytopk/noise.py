@@ -3,15 +3,15 @@
 An observed graph Y is derived from a latent graph A by flipping each
 node pair independently: an absent pair appears with probability alpha,
 a present edge disappears with probability beta.  The flipped pairs are
-drawn by geometric skips over the present edges and over the absent
-pairs, so a draw costs time and memory in proportion to the edges of A
-and Y rather than to the n(n-1)/2 pairs.  A dense A pays once for an
-O(n**2) int32 table of its absent pairs, so that no draw on it needs a
-binary search; a sparse A binary-searches on every draw.  Realizations
-are reproducible bit-for-bit for a fixed seed, on a stream of their own
-(see graphs.STREAM_VERSION).  Where only degrees are read,
-noisy_degree_array takes the same flips without building Y and is
-bit-identical to apply_noise(a, params, seed).degree_array().
+drawn by geometric skips (from exponentials for a rate below 1/3) over the
+present edges and over the absent pairs, so a draw costs time and memory in
+proportion to the edges of A and Y rather than to the n(n-1)/2 pairs.  A
+dense A pays once for an O(n**2) int32 table of its absent pairs, so that no
+draw on it needs a binary search; a sparse A binary-searches on every draw.
+Realizations are reproducible bit-for-bit for a fixed seed, on a stream of
+their own (see graphs.STREAM_VERSION).  Where only degrees are read,
+noisy_degree_array counts the endpoints of the same flips without building
+Y and is bit-identical to apply_noise(a, params, seed).degree_array().
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, _edges_from_sorted, _flip_pairs, _flip_picks, _stream_rng
+from .graphs import Graph, _endpoint_counts, _flip_pairs, _flip_picks, _stream_rng
 
 __all__ = ["NoiseParams", "apply_noise", "noisy_degree_array"]
 
@@ -46,14 +46,11 @@ def apply_noise(a: Graph, params: NoiseParams, seed: int) -> Graph:
     pairs turn into edges independently with probability alpha.  With
     alpha = beta = 0 the output equals the input exactly.
     """
-    rng = _stream_rng(seed, "noise")
-    return _flip_pairs(a, params.alpha, params.beta, rng)
+    return _flip_pairs(a, params.alpha, params.beta, _stream_rng(seed, "noise"))
 
 
 def noisy_degree_array(a: Graph, params: NoiseParams, seed: int) -> np.ndarray:
     """The degrees of apply_noise(a, params, seed), from its flips alone: no noisy Graph is built."""
-    rng = _stream_rng(seed, "noise")
-    deleted, added = _flip_picks(a, params.alpha, params.beta, rng)
-    gained = np.bincount(_edges_from_sorted(a.n, added).ravel(), minlength=a.n)
-    return a.degree_array() + gained - np.bincount(a.edges[deleted].ravel(), minlength=a.n)
+    deleted, added = _flip_picks(a, params.alpha, params.beta, _stream_rng(seed, "noise"))
+    return a.degree_array() + _endpoint_counts(a.n, added) - _endpoint_counts(a.n, a.edge_linear_indices()[deleted])
 

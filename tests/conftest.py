@@ -1,10 +1,10 @@
 """Shared oracles and helpers for the test suite.
 
-The dense eigensolver, the dense per-pair noise sampler, the cumulative-sum
-preferential attachment loop, the exact noise enumeration and its
-statistics, the pair-index decoder, and the quadrature normal CDF are
-independent reference implementations; library code must match them,
-never the other way around.
+The dense eigensolver, the dense per-pair noise sampler, the skip sampler
+on numpy's geometric, the cumulative-sum preferential attachment loop, the
+exact noise enumeration and its statistics, the pair-index decoder, and the
+quadrature normal CDF are independent reference implementations; library
+code must match them, never the other way around.
 """
 
 from __future__ import annotations
@@ -72,6 +72,25 @@ def exact_noise_distribution(a: Graph, params: NoiseParams) -> Iterator[tuple[Gr
     for o in range(total):
         idx = np.flatnonzero((o >> np.arange(n_pairs, dtype=np.int64)) & 1)
         yield Graph._from_canonical(n, np.column_stack(pair_from_index(n, idx)), idx), float(probs[o])
+
+
+def geometric_skip_positions(rng: np.random.Generator, size: int, q: float) -> np.ndarray:
+    """Reference skip sampler: noisytopk.graphs._skip_positions with its gaps from rng.geometric.
+
+    The library computes the gaps for q < 1/3 from the standard-exponential
+    stream, as numpy's own inversion branch of Generator.geometric does; this
+    oracle calls geometric itself, so a numpy that changes that branch shows
+    up as a mismatch here rather than as a silent change of random stream.
+    """
+    runs = [np.empty(0, dtype=np.int64)]
+    last = -1
+    while q > 0.0 and last < size - 1:
+        expected = (size - 1 - last) * q
+        gaps = np.minimum(rng.geometric(q, int(expected + 4.0 * expected**0.5) + 16), size + 1)
+        picks = last + np.cumsum(gaps)
+        runs.append(picks[picks < size])
+        last = int(picks[-1])
+    return np.concatenate(runs)
 
 
 def dense_top2(g: Graph):

@@ -3,7 +3,9 @@
 Its law is checked against the exact enumeration and against the dense
 per-pair oracle in conftest; its edge cases and its cost are checked
 directly, and the pairs it adds are checked against the complement of the
-edges on graphs with and without the dense graphs' absent-pair table.
+edges on graphs with and without the dense graphs' absent-pair table.  Its
+gaps must equal numpy's Generator.geometric bit for bit, and its endpoint
+counter must equal a bincount of the decoded pairs.
 """
 
 import math
@@ -24,8 +26,15 @@ from noisytopk import (
     noisy_degree_array,
     pair_index,
 )
-from noisytopk.graphs import _edges_from_sorted, _flip_picks, _skip_positions
-from conftest import dense_noise, edge_set, exact_noise_distribution, pair_from_index, random_edges
+from noisytopk.graphs import _edges_from_sorted, _endpoint_counts, _flip_picks, _skip_positions
+from conftest import (
+    dense_noise,
+    edge_set,
+    exact_noise_distribution,
+    geometric_skip_positions,
+    pair_from_index,
+    random_edges,
+)
 
 
 def _graph(n, edges):
@@ -165,6 +174,50 @@ def test_skip_positions_are_sorted_distinct_and_in_range(size, q, seed):
         assert np.array_equal(pos, np.arange(size))
     if q == 0.0:
         assert pos.size == 0
+
+
+BELOW_THIRD = float(np.nextafter(1 / 3, 0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    q=st.one_of(
+        st.floats(min_value=1e-12, max_value=BELOW_THIRD),
+        # the last two overflow a gap unless it is clipped at size + 1
+        st.sampled_from([1e-12, BELOW_THIRD, 1 / 3, 0.5, 1.0, 1e-300, 5e-324]),
+    ),
+    size=st.one_of(st.sampled_from([0, 1, 2]), st.integers(min_value=0, max_value=200_000)),
+    seed=st.integers(min_value=0, max_value=2**63),
+)
+def test_skip_positions_equal_the_geometric_oracle_bit_for_bit(q, size, seed):
+    # below 1/3 the gaps come from the exponential stream as in numpy's inversion branch of geometric
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = _skip_positions(rng, size, q)
+    want = geometric_skip_positions(oracle_rng, size, q)
+    assert got.dtype == want.dtype == np.int64
+    assert np.array_equal(got, want), "numpy's Generator.geometric no longer matches its inversion formula"
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.one_of(st.sampled_from([1, 2]), st.integers(min_value=1, max_value=300)),
+    density=st.sampled_from([0.0, 1e-3, 0.05, 0.5, 0.9, 1.0]),
+    seed=st.integers(min_value=0, max_value=2**32),
+)
+def test_endpoint_counts_equal_a_bincount_of_the_decoded_pairs(n, density, seed):
+    n_pairs = n * (n - 1) // 2
+    lin = np.flatnonzero(np.random.default_rng(seed).random(n_pairs) < density).astype(np.int64)
+    got = _endpoint_counts(n, lin)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, np.bincount(_edges_from_sorted(n, lin).ravel(), minlength=n))
+
+
+def test_endpoint_counts_on_a_few_pairs_of_a_large_graph():
+    n = 100_000
+    lin = np.unique(np.random.default_rng(2).integers(0, n * (n - 1) // 2, 50))
+    assert np.array_equal(_endpoint_counts(n, lin), np.bincount(_edges_from_sorted(n, lin).ravel(), minlength=n))
+    assert np.array_equal(_endpoint_counts(n, lin[:0]), np.zeros(n, dtype=np.int64))
 
 
 def test_large_sparse_graph_needs_no_per_pair_array():
