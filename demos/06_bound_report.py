@@ -17,7 +17,6 @@ from noisytopk import (
     PaParams,
     apply_noise,
     bound_report,
-    degree_scores,
     generate_er,
     generate_pa,
     hamming,
@@ -71,9 +70,9 @@ def main():
     report = show("dense flat graph, moderate noise", er, moderate)
 
     print("--- one noisy realization of the dense graph ---")
-    s_k = top_k(degree_scores(er), K, seed=99)
+    s_k = top_k(er.degree_array(), K, seed=99)
     y = apply_noise(er, moderate, seed=100)
-    noisy = degree_scores(y)
+    noisy = y.degree_array()
     s_tilde = top_k(noisy, K, seed=99)
     hb = hamming_bounds_realization(s_k, noisy)
     d = hamming(s_k, s_tilde)

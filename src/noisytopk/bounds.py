@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .centrality import ScoreVector, SpectralPair, TopKSet, spectral_top2
+from .centrality import SpectralPair, TopKSet, _scores, spectral_top2
 from .graphs import Graph
 from .noise import NoiseParams
 
@@ -364,7 +364,7 @@ def infeasibility_report(
     )
 
 
-def hamming_bounds_realization(true_topk: TopKSet, noisy_scores: ScoreVector) -> HammingBoundsRealization:
+def hamming_bounds_realization(true_topk: TopKSet, noisy_scores) -> HammingBoundsRealization:
     """Sandwich the realized top-k Hamming distance from one noisy score vector.
 
     Splits the noisy scores at t, the (k+1)-th largest value.  Nodes of the
@@ -374,13 +374,15 @@ def hamming_bounds_realization(true_topk: TopKSet, noisy_scores: ScoreVector) ->
     possibly cross.  Both counts hold for every tie-break of the noisy
     top-k selection.
     """
-    s = noisy_scores.scores
+    s = _scores(noisy_scores)
     n, k = s.size, true_topk.k
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
-
-    t = float(np.partition(s, n - k - 1)[n - k - 1])  # (k+1)-th largest
     members = np.fromiter(true_topk.members, dtype=np.int64, count=k)
+    if (stray := members[(members < 0) | (members >= n)]).size:
+        raise ValueError(f"top-k member {int(stray.min())} is not a node id in range({n})")
+
+    t = np.partition(s, n - k - 1)[n - k - 1]  # (k+1)-th largest, compared in the scores' own dtype
     mask = np.zeros(n, dtype=bool)
     mask[members] = True
 
@@ -391,7 +393,7 @@ def hamming_bounds_realization(true_topk: TopKSet, noisy_scores: ScoreVector) ->
 
     lower = 2 * max(in_below, out_above)
     upper = 2 * min(in_at_most, out_at_least)
-    return HammingBoundsRealization(lower, upper, t, in_below, in_at_most, out_above, out_at_least)
+    return HammingBoundsRealization(lower, upper, float(t), in_below, in_at_most, out_above, out_at_least)
 
 
 def er_noise_variance_proxy(n: int, p: float, params: NoiseParams) -> float:
@@ -464,10 +466,10 @@ def evec_bound(spec: SpectralPair, params: NoiseParams) -> EvecBound:
     gap_condition_ok False.  The spectral norm of the nonnegative adjacency
     matrix is its Perron root spec.lambda1.
     """
-    n = spec.x.scores.size
+    n = spec.x.size
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    x_inf = float(spec.x.scores.max())
+    x_inf = float(spec.x.max())
     if spec.lambda1 < 0 or x_inf < 0:
         raise ValueError("leading eigenvalue and max entry must be nonnegative")
     a, b = params.alpha, params.beta
@@ -500,7 +502,7 @@ def evec_gap_check(spec: SpectralPair, k: int, bound: EvecBound) -> bool:
     x_(k) - x_(k+1) against 2 eps_n; guaranteed recovery of the
     eigenvector top-k set requires a strict inequality.
     """
-    x = np.sort(spec.x.scores)[::-1]
+    x = np.sort(spec.x)[::-1]
     n = x.size
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")

@@ -1,10 +1,10 @@
 """Centrality scores, top-k extraction, and set-overlap metrics.
 
-Degree scores are exact integer counts cast to float.  Eigenvector
-centrality comes from one ARPACK Lanczos solve (scipy's eigsh) for the
-algebraically largest eigenvalues, so bipartite spectra (lambda_min equal
-to -lambda_1, e.g. trees) need no shift and the second eigenvalue is the
-algebraic one rather than the most negative.
+Scores are plain 1-d arrays (int64 degrees or a float eigenvector).
+Eigenvector centrality comes from one ARPACK Lanczos solve (scipy's eigsh)
+for the algebraically largest eigenvalues, so bipartite spectra (lambda_min
+equal to -lambda_1, e.g. trees) need no shift and the second eigenvalue is
+the algebraic one rather than the most negative.
 """
 
 from __future__ import annotations
@@ -18,10 +18,8 @@ from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 from .graphs import Graph, _stream_rng
 
 __all__ = [
-    "ScoreVector",
     "TopKSet",
     "SpectralPair",
-    "degree_scores",
     "spectral_top2",
     "leading_eigenvector",
     "top_k",
@@ -29,37 +27,16 @@ __all__ = [
     "jaccard",
 ]
 
-# eigenvector scores supplied from outside may dip below zero by roundoff;
-# anything below -CLAMP is an error
+# eigenvector entries may dip below zero by roundoff; anything below -CLAMP is an error
 NEGATIVE_CLAMP = 1e-9
 
 
-@dataclass(frozen=True)
-class ScoreVector:
-    """Per-node centrality scores with their kind ('degree' or 'eigenvector')."""
-
-    scores: np.ndarray
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in ("degree", "eigenvector"):
-            raise ValueError(f"unknown score kind {self.kind!r}")
-        s = np.asarray(self.scores, dtype=np.float64)
-        if s.ndim != 1 or s.size == 0:
-            raise ValueError("scores must be a non-empty 1-d array")
-        if not np.all(np.isfinite(s)):
-            raise ValueError("scores must be finite")
-        if self.kind == "eigenvector":
-            if np.any(s < -NEGATIVE_CLAMP):
-                raise ValueError("eigenvector scores must be nonnegative up to roundoff")
-            norm = float(np.linalg.norm(s))
-            if abs(norm - 1.0) > 1e-9:
-                raise ValueError(f"eigenvector scores must have unit l2 norm, got {norm}")
-        s.flags.writeable = False
-        object.__setattr__(self, "scores", s)
-
-    def __len__(self) -> int:
-        return int(self.scores.size)
+def _scores(scores) -> np.ndarray:
+    """scores as an array, checked to be 1-d, non-empty and finite."""
+    s = np.asarray(scores)
+    if s.ndim != 1 or s.size == 0 or not np.all(np.isfinite(s)):
+        raise ValueError(f"scores must be a non-empty finite 1-d array, got shape {s.shape}")
+    return s
 
 
 @dataclass(frozen=True)
@@ -83,7 +60,7 @@ class SpectralPair:
 
     lambda1: float
     lambda2: float
-    x: ScoreVector
+    x: np.ndarray
     converged: bool
     degenerate: bool
     disconnected: bool
@@ -93,11 +70,14 @@ class SpectralPair:
     def __post_init__(self):
         if self.lambda2 > self.lambda1:
             raise ValueError("lambda2 cannot exceed lambda1")
-
-
-def degree_scores(g: Graph) -> ScoreVector:
-    """Degree of every node as a score vector."""
-    return ScoreVector(g.degree_array().astype(np.float64), "degree")
+        x = _scores(np.asarray(self.x, dtype=np.float64))
+        if np.any(x < -NEGATIVE_CLAMP):
+            raise ValueError("eigenvector scores must be nonnegative up to roundoff")
+        norm = float(np.linalg.norm(x))
+        if abs(norm - 1.0) > 1e-9:
+            raise ValueError(f"eigenvector scores must have unit l2 norm, got {norm}")
+        x.flags.writeable = False
+        object.__setattr__(self, "x", x)
 
 
 def _top_eigenpairs(adj, k: int, tol: float, max_iter: int):
@@ -188,7 +168,7 @@ def spectral_top2(g: Graph, tol: float = 1e-10, max_iter: int = 10000) -> Spectr
     return SpectralPair(
         lambda1=lam1,
         lambda2=lam2,
-        x=ScoreVector(x, "eigenvector"),
+        x=x,
         converged=converged,
         degenerate=bool(lam1 - lam2 <= 1e-8),
         disconnected=bool(n_comp > 1),
@@ -197,14 +177,14 @@ def spectral_top2(g: Graph, tol: float = 1e-10, max_iter: int = 10000) -> Spectr
     )
 
 
-def top_k(scores: ScoreVector, k: int, seed: int) -> TopKSet:
+def top_k(scores, k: int, seed: int) -> TopKSet:
     """The k nodes with the largest scores; cutoff ties break uniformly at random.
 
     Nodes scoring strictly above the k-th largest value are always
     included; the remaining slots are filled by a uniform random choice
     (driven by seed) among the nodes exactly at the cutoff value.
     """
-    s = scores.scores
+    s = _scores(scores)
     n = s.size
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= {n}, got k={k}")

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .bounds import bound_report
-from .centrality import degree_scores, spectral_top2, top_k
+from .centrality import spectral_top2, top_k
 from .experiments import (
     MODELS,
     ExperimentConfig,
@@ -165,8 +165,8 @@ def _nonconverged(args, residual: float) -> int:
 
 def cmd_centrality(args) -> int:
     g = load_edge_list(args.input)
-    deg = degree_scores(g)
-    rows = [{"node": i, "degree": float(deg.scores[i])} for i in range(g.n)]
+    deg = g.degree_array()
+    rows = [{"node": i, "degree": float(deg[i])} for i in range(g.n)]
     report: dict = {"n": g.n, "num_edges": g.num_edges}
 
     if args.kind in ("eigenvector", "both"):
@@ -174,7 +174,7 @@ def cmd_centrality(args) -> int:
         if not pair.converged:
             return _nonconverged(args, pair.residual)
         for i in range(g.n):
-            rows[i]["eigenvector"] = float(pair.x.scores[i])
+            rows[i]["eigenvector"] = float(pair.x[i])
         report.update(
             lambda1=pair.lambda1,
             lambda2=pair.lambda2,

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.sparse.csgraph import connected_components
 
 from .bounds import er_expected_hamming_lower_bound, hamming_bounds_realization
-from .centrality import ScoreVector, degree_scores, hamming, jaccard, leading_eigenvector, top_k
+from .centrality import hamming, jaccard, leading_eigenvector, top_k
 from .graphs import Graph, PaParams, generate_er, generate_pa, generate_small_world
 from .noise import NoiseParams, apply_noise, noisy_degree_array
 
@@ -261,15 +261,14 @@ def _run_one_graph(cfg: ExperimentConfig, cell_idx: int, n: int, noise: NoisePar
     tie_seed = derive_seed(cfg.seed_root, STREAM_TIEBREAK, cell_idx, graph_idx)
     g = make_graph(cfg.model, cfg._graph_values, n, graph_seed)
 
-    true_scores = degree_scores(g)
-    s_k = top_k(true_scores, k, tie_seed)
+    s_k = top_k(g.degree_array(), k, tie_seed)
 
     want_evec = cfg.centrality == "both"
     s_k_evec = None  # stays None when the latent solve does not converge
     if want_evec:
         lam1, x, ok = leading_eigenvector(g)
         if ok:
-            s_k_evec = top_k(ScoreVector(x, "eigenvector"), k, tie_seed)
+            s_k_evec = top_k(x, k, tie_seed)
 
     dh, lower, upper, jac_deg = (np.empty(draws) for _ in range(4))
     jac_evec_sum, jac_evec_cnt, n_excluded, n_disconnected = 0.0, 0, 0, 0
@@ -280,10 +279,9 @@ def _run_one_graph(cfg: ExperimentConfig, cell_idx: int, n: int, noise: NoisePar
         # the eigensolve needs the noisy graph; degree centrality needs only its degrees
         y = apply_noise(g, noise, seed) if want_evec else None
         noisy_deg = y.degree_array() if want_evec else noisy_degree_array(g, noise, seed)
-        noisy = ScoreVector(noisy_deg.astype(np.float64), "degree")
-        s_tilde = top_k(noisy, k, tie_seed)
+        s_tilde = top_k(noisy_deg, k, tie_seed)
         d = hamming(s_k, s_tilde)
-        hb = hamming_bounds_realization(s_k, noisy)
+        hb = hamming_bounds_realization(s_k, noisy_deg)
         # the sandwich holds deterministically for every draw; a violation is a bug
         if not hb.lower <= d <= hb.upper:
             raise RuntimeError(f"Hamming sandwich violated: {hb.lower} <= {d} <= {hb.upper} fails")
@@ -299,7 +297,7 @@ def _run_one_graph(cfg: ExperimentConfig, cell_idx: int, n: int, noise: NoisePar
                 n_disconnected += 1
             lam1y, xy, oky = leading_eigenvector(y)
             if s_k_evec is not None and oky:
-                s_tilde_evec = top_k(ScoreVector(xy, "eigenvector"), k, tie_seed)
+                s_tilde_evec = top_k(xy, k, tie_seed)
                 jac_evec_sum += jaccard(s_k_evec, s_tilde_evec)
                 jac_evec_cnt += 1
             else:

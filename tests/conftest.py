@@ -20,7 +20,6 @@ from noisytopk import (
     Graph,
     NoiseParams,
     PaParams,
-    degree_scores,
     hamming_bounds_realization,
 )
 from noisytopk.graphs import _stream_rng
@@ -187,7 +186,7 @@ def exact_stats(g: Graph, params: NoiseParams, true_topk, k: int):
     for outcome, prob in exact_noise_distribution(g, params):
         deg = outcome.degree_array()
         e_dh += prob * expected_hamming_given_outcome(deg, true_topk.members, k)
-        hb = hamming_bounds_realization(true_topk, degree_scores(outcome))
+        hb = hamming_bounds_realization(true_topk, outcome.degree_array())
         e_lo += prob * hb.lower
         e_up += prob * hb.upper
         total += prob

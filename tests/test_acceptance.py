@@ -22,7 +22,6 @@ from noisytopk import (
     PaParams,
     apply_noise,
     correction_terms,
-    degree_scores,
     derive_seed,
     evec_bound,
     generate_er,
@@ -75,9 +74,9 @@ def test_criterion_01_zero_noise_identity():
         else:
             g = generate_small_world(n, int(rng.choice([4, 6, 8])), float(rng.uniform(0.1, 0.3)), seed)
         tie_seed = int(rng.integers(0, 2**31))
-        s_k = top_k(degree_scores(g), k, tie_seed)
+        s_k = top_k(g.degree_array(), k, tie_seed)
         y = apply_noise(g, zero, seed=int(rng.integers(0, 2**31)))
-        s_tilde = top_k(degree_scores(y), k, tie_seed)
+        s_tilde = top_k(y.degree_array(), k, tie_seed)
         if s_tilde.members == s_k.members and hamming(s_k, s_tilde) == 0:
             hits += 1
     assert hits == total
@@ -130,7 +129,7 @@ def test_criterion_02_exact_enumeration_oracle():
         g = random_edges(rng, 5, density=float(rng.uniform(0.2, 0.8)))
         params = NoiseParams(float(rng.uniform(0.05, 0.4)), float(rng.uniform(0.05, 0.4)))
         k = int(rng.integers(1, 4))
-        true_topk = top_k(degree_scores(g), k, seed=trial)
+        true_topk = top_k(g.degree_array(), k, seed=trial)
 
         e_dh, e_lo, e_up = exact_stats(g, params, true_topk, k)
         assert e_lo <= e_dh + 1e-10
@@ -203,10 +202,10 @@ def test_criterion_04_per_trial_sandwich():
         k = int(rng.integers(1, min(11, n)))
         params = NoiseParams(float(rng.uniform(0.0, 0.4)), float(rng.uniform(0.0, 0.4)))
         tie_seed = int(rng.integers(0, 2**31))
-        s_k = top_k(degree_scores(g), k, tie_seed)
+        s_k = top_k(g.degree_array(), k, tie_seed)
         for _ in range(draws_per_graph):
             y = apply_noise(g, params, seed=int(rng.integers(0, 2**31)))
-            noisy = degree_scores(y)
+            noisy = y.degree_array()
             s_tilde = top_k(noisy, k, tie_seed)
             d = hamming(s_k, s_tilde)
             hb = hamming_bounds_realization(s_k, noisy)
@@ -327,7 +326,7 @@ def test_criterion_09_evec_perturbation_bound():
         g = generate_pa(PaParams(n=n, m=1, b=1.0), seed=derive_seed(99001, 1, s))
         pair = spectral_top2(g, tol=1e-10, max_iter=10000)
         assert pair.converged
-        x = pair.x.scores
+        x = pair.x
         eb = evec_bound(pair, params)
         for r in range(draws):
             total_trials += 1
@@ -378,7 +377,7 @@ def test_criterion_10_solver_oracle():
             assert pair.degenerate
             continue
         assert not pair.degenerate
-        err = float(np.max(np.abs(pair.x.scores - x_ref)))
+        err = float(np.max(np.abs(pair.x - x_ref)))
         worst_vec = max(worst_vec, err)
         assert err <= 1e-6
     took = budget.check()

@@ -18,7 +18,6 @@ from noisytopk import (
     correction_terms,
     default_c_of_n,
     default_i_star,
-    degree_scores,
     er_expected_hamming_lower_bound,
     er_noise_variance_proxy,
     evec_bound,
@@ -34,7 +33,7 @@ from noisytopk import (
     tail_envelope,
     top_k,
 )
-from noisytopk import Graph, ScoreVector, apply_noise
+from noisytopk import Graph, apply_noise
 from conftest import normal_cdf_quadrature
 
 
@@ -339,7 +338,7 @@ class TestInfeasibilityReport:
 
 class TestHammingBounds:
     def test_noiseless_strict_gap_pins_zero(self):
-        scores = ScoreVector(np.array([9.0, 7.0, 5.0, 3.0, 1.0]), "degree")
+        scores = np.array([9.0, 7.0, 5.0, 3.0, 1.0])
         true_set = TopKSet(k=2, members=frozenset({0, 1}), tie_broken=False)
         hb = hamming_bounds_realization(true_set, scores)
         assert hb.lower == 0
@@ -347,17 +346,43 @@ class TestHammingBounds:
         assert hb.t == 5.0
 
     def test_reversed_ranking_pins_full_distance(self):
-        noisy = ScoreVector(np.array([1.0, 2.0, 3.0, 4.0]), "degree")
+        noisy = np.array([1.0, 2.0, 3.0, 4.0])
         true_set = TopKSet(k=2, members=frozenset({0, 1}), tie_broken=False)
         hb = hamming_bounds_realization(true_set, noisy)
         assert hb.lower == 4
         assert hb.upper == 4
 
     def test_k_equal_n_rejected(self):
-        scores = ScoreVector(np.arange(5, dtype=float), "degree")
+        scores = np.arange(5, dtype=float)
         true_set = TopKSet(k=5, members=frozenset(range(5)), tie_broken=False)
         with pytest.raises(ValueError):
             hamming_bounds_realization(true_set, scores)
+
+    @pytest.mark.parametrize("stray", [-1, 5])
+    def test_member_outside_node_range_rejected(self, stray):
+        # -1 would wrap around to node 4 and 5 would overrun the score array
+        true_set = TopKSet(k=2, members=frozenset({0, stray}), tie_broken=False)
+        with pytest.raises(ValueError, match=f"member {stray} "):
+            hamming_bounds_realization(true_set, np.array([9.0, 7.0, 5.0, 3.0, 1.0]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_int_and_float_scores_agree(self, data):
+        # the harness ranks int64 degree arrays; casting them to float changes nothing
+        n = data.draw(st.integers(2, 25))
+        ints = st.lists(st.integers(0, 3), min_size=n, max_size=n)
+        true_deg = np.array(data.draw(ints), dtype=np.int64)
+        noisy_deg = np.array(data.draw(ints), dtype=np.int64)
+        k = data.draw(st.integers(1, n - 1))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        for deg in (true_deg, noisy_deg):
+            a, b = top_k(deg, k, seed), top_k(deg.astype(float), k, seed)
+            assert (a.members, a.tie_broken) == (b.members, b.tie_broken)
+        true_set = top_k(true_deg, k, seed)
+        # NamedTuple equality compares all seven sandwich fields
+        assert hamming_bounds_realization(true_set, noisy_deg) == hamming_bounds_realization(
+            true_set, noisy_deg.astype(float)
+        )
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
@@ -365,10 +390,10 @@ class TestHammingBounds:
         # scores in 0..3 tie heavily; the extreme tie-breaks bracket every other one
         n = data.draw(st.integers(2, 25))
         ints = st.lists(st.integers(0, 3), min_size=n, max_size=n)
-        true_scores = ScoreVector(np.array(data.draw(ints), dtype=float), "degree")
-        noisy = ScoreVector(np.array(data.draw(ints), dtype=float), "degree")
+        true_scores = np.array(data.draw(ints), dtype=float)
+        noisy = np.array(data.draw(ints), dtype=float)
         seed = data.draw(st.integers(0, 2**32 - 1))
-        s = noisy.scores
+        s = noisy
         for k in range(1, n):
             true_set = top_k(true_scores, k, seed)
             hb = hamming_bounds_realization(true_set, noisy)
@@ -393,14 +418,14 @@ class TestHammingBounds:
             g = generate_er(n, float(rng.uniform(0.1, 0.7)), seed=trial)
             k = int(rng.integers(1, 5))
             params = NoiseParams(float(rng.uniform(0, 0.4)), float(rng.uniform(0, 0.4)))
-            true_set = top_k(degree_scores(g), k, seed=trial)
+            true_set = top_k(g.degree_array(), k, seed=trial)
             y = apply_noise(g, params, seed=trial + 10_000)
-            noisy_scores = degree_scores(y)
+            noisy_scores = y.degree_array()
             noisy_set = top_k(noisy_scores, k, seed=trial + 20_000)
             d = hamming(true_set, noisy_set)
             hb = hamming_bounds_realization(true_set, noisy_scores)
             assert hb.lower <= d <= hb.upper
-            s = noisy_scores.scores
+            s = noisy_scores
             t_hi = float(np.partition(s, n - k)[n - k])  # k-th largest
             members = np.zeros(n, dtype=bool)
             members[list(true_set.members)] = True
@@ -480,7 +505,7 @@ class TestEvecBound:
         return SpectralPair(
             lambda1=lam1,
             lambda2=lam2,
-            x=ScoreVector(x, "eigenvector"),
+            x=x,
             converged=True,
             degenerate=False,
             disconnected=False,

@@ -5,9 +5,8 @@ import pytest
 
 from noisytopk import (
     Graph,
-    ScoreVector,
+    SpectralPair,
     TopKSet,
-    degree_scores,
     generate_er,
     hamming,
     jaccard,
@@ -23,38 +22,35 @@ def _graph(n, edges):
 
 
 def _scores(values):
-    return ScoreVector(scores=np.asarray(values, dtype=float), kind="degree")
+    return np.asarray(values, dtype=float)
 
 
 STAR = _graph(5, [[0, 1], [0, 2], [0, 3], [0, 4]])
 K4 = _graph(4, [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]])
 
 
-class TestScoreVector:
-    def test_rejects_bad_kind(self):
-        with pytest.raises(ValueError):
-            ScoreVector(scores=np.ones(3), kind="pagerank")
+def _pair(x):
+    return SpectralPair(
+        lambda1=2.0,
+        lambda2=1.0,
+        x=np.asarray(x),
+        converged=True,
+        degenerate=False,
+        disconnected=False,
+        iterations=1,
+        residual=0.0,
+    )
 
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            _scores([1.0, math.nan])
 
+class TestSpectralPair:
     def test_eigenvector_requires_unit_norm(self):
         with pytest.raises(ValueError):
-            ScoreVector(scores=np.array([1.0, 1.0]), kind="eigenvector")
+            _pair([1.0, 1.0])
 
     def test_eigenvector_rejects_negative_entries(self):
         bad = np.array([-0.6, 0.8])
         with pytest.raises(ValueError):
-            ScoreVector(scores=bad, kind="eigenvector")
-
-
-class TestDegreeScores:
-    def test_star(self):
-        assert degree_scores(STAR).scores.tolist() == [4.0, 1.0, 1.0, 1.0, 1.0]
-
-    def test_empty(self):
-        assert degree_scores(_graph(3, [])).scores.tolist() == [0.0, 0.0, 0.0]
+            _pair(bad)
 
 
 class TestTopK:
@@ -109,6 +105,15 @@ class TestTopK:
             b = top_k(_scores(2.0 * raw + 1.0), 4, seed=trial)
             assert a.members == b.members
             assert a.tie_broken == b.tie_broken
+
+    def test_rejects_non_finite(self):
+        with pytest.raises(ValueError):
+            top_k(_scores([1.0, math.nan]), 1, seed=0)
+
+    def test_rejects_empty_and_2d(self):
+        for bad in (np.array([]), np.ones((2, 2))):
+            with pytest.raises(ValueError):
+                top_k(bad, 1, seed=0)
 
     def test_k_bounds(self):
         with pytest.raises(ValueError):
@@ -209,7 +214,7 @@ class TestLeadingEigenvector:
         pair = spectral_top2(g, tol=1e-10, max_iter=10000)
         assert converged and pair.converged
         assert pair.degenerate
-        for lam1, vec in ((lam, x), (pair.lambda1, pair.x.scores)):
+        for lam1, vec in ((lam, x), (pair.lambda1, pair.x)):
             assert lam1 == pytest.approx(3.0, abs=1e-10)
             assert np.all(vec >= 0.0)
             assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
@@ -253,7 +258,7 @@ class TestSpectralTop2:
         g = generate_er(40, 0.2, seed=9)
         pair = spectral_top2(g, tol=1e-10, max_iter=10000)
         adj = g.adjacency_csr()
-        residual = np.linalg.norm(adj @ pair.x.scores - pair.lambda1 * pair.x.scores)
+        residual = np.linalg.norm(adj @ pair.x - pair.lambda1 * pair.x)
         assert residual <= 1e-10 * max(1.0, abs(pair.lambda1))
 
     def test_matches_dense_oracle(self):
@@ -266,9 +271,9 @@ class TestSpectralTop2:
             assert pair.lambda1 == pytest.approx(lam1, abs=1e-8)
             assert pair.lambda2 == pytest.approx(lam2, abs=1e-8)
             if not pair.degenerate:
-                assert np.max(np.abs(pair.x.scores - x_ref)) <= 1e-6
+                assert np.max(np.abs(pair.x - x_ref)) <= 1e-6
 
     def test_sign_convention(self):
         g = generate_er(20, 0.3, seed=77)
         pair = spectral_top2(g, tol=1e-10, max_iter=10000)
-        assert pair.x.scores[np.argmax(np.abs(pair.x.scores))] > 0
+        assert pair.x[np.argmax(np.abs(pair.x))] > 0

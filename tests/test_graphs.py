@@ -108,8 +108,10 @@ class TestGraphType:
 
     def test_degree_array_sums_to_twice_edges(self):
         g = _graph(5, [[0, 1], [1, 2], [2, 3], [3, 4], [0, 4], [1, 3]])
-        deg = g.degree_array()
-        assert deg.sum() == 2 * g.num_edges
+        star = _graph(5, [[0, 1], [0, 2], [0, 3], [0, 4]])
+        for graph in (g, star):
+            assert graph.degree_array().sum() == 2 * graph.num_edges
+        assert star.degree_array().tolist() == [4, 1, 1, 1, 1]
 
     def test_edges_immutable(self):
         g = _graph(3, [[0, 1]])
