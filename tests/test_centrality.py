@@ -53,6 +53,18 @@ class TestSpectralPair:
             _pair(bad)
 
 
+class TestDegreeScores:
+    """Degree scores are the plain int64 array that top_k ranks."""
+
+    def test_star(self):
+        deg = STAR.degree_array()
+        assert deg.tolist() == [4, 1, 1, 1, 1]
+        assert top_k(deg, 1, seed=0).members == frozenset({0})
+
+    def test_empty(self):
+        assert _graph(3, []).degree_array().tolist() == [0, 0, 0]
+
+
 class TestTopK:
     def test_no_ties(self):
         got = top_k(_scores([5, 4, 3, 2, 1]), 2, seed=0)
