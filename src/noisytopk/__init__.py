@@ -5,118 +5,17 @@ world), perturb them with independent edge flips, score nodes by degree
 or eigenvector centrality, and evaluate recovery guarantees,
 infeasibility thresholds, and Hamming-distance envelopes, with a Monte
 Carlo harness that reproduces the reference simulations.
+
+Each module's __all__ declares its public names; the package re-exports them.
 """
 
-from .bounds import (
-    CorrectionTerms,
-    DegreeMoments,
-    EvecBound,
-    HammingBoundsRealization,
-    InfeasibilityReport,
-    SeparationReport,
-    TailEnvelope,
-    bound_report,
-    classify_regime,
-    correction_terms,
-    default_c_of_n,
-    default_i_star,
-    er_expected_hamming_lower_bound,
-    er_noise_variance_proxy,
-    evec_bound,
-    evec_gap_check,
-    hamming_bounds_realization,
-    infeasibility_report,
-    noisy_degree_moments,
-    normal_cdf,
-    separation_report,
-    tail_envelope,
-)
-from .centrality import (
-    SpectralPair,
-    TopKSet,
-    hamming,
-    jaccard,
-    leading_eigenvector,
-    spectral_top2,
-    top_k,
-)
-from .experiments import (
-    ExperimentConfig,
-    LocalizationRow,
-    NoiseSchedule,
-    SummaryRow,
-    derive_seed,
-    run_figure1_profile,
-    run_localization,
-    run_topk_experiment,
-    write_figure1_csv,
-    write_json_mirror,
-    write_summary_csv,
-)
-from .graphs import (
-    Graph,
-    PaParams,
-    generate_er,
-    generate_pa,
-    generate_small_world,
-    load_edge_list,
-    pair_index,
-    save_edge_list,
-)
-from .noise import NoiseParams, apply_noise, noisy_degree_array
+from . import bounds, centrality, experiments, graphs, noise
+from .bounds import *
+from .centrality import *
+from .experiments import *
+from .graphs import *
+from .noise import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CorrectionTerms",
-    "DegreeMoments",
-    "EvecBound",
-    "ExperimentConfig",
-    "Graph",
-    "HammingBoundsRealization",
-    "InfeasibilityReport",
-    "LocalizationRow",
-    "NoiseParams",
-    "NoiseSchedule",
-    "PaParams",
-    "SeparationReport",
-    "SpectralPair",
-    "SummaryRow",
-    "TailEnvelope",
-    "TopKSet",
-    "apply_noise",
-    "bound_report",
-    "classify_regime",
-    "correction_terms",
-    "default_c_of_n",
-    "default_i_star",
-    "derive_seed",
-    "er_expected_hamming_lower_bound",
-    "er_noise_variance_proxy",
-    "evec_bound",
-    "evec_gap_check",
-    "generate_er",
-    "generate_pa",
-    "generate_small_world",
-    "hamming",
-    "hamming_bounds_realization",
-    "infeasibility_report",
-    "jaccard",
-    "leading_eigenvector",
-    "load_edge_list",
-    "noisy_degree_array",
-    "noisy_degree_moments",
-    "normal_cdf",
-    "pair_index",
-    "run_figure1_profile",
-    "run_localization",
-    "run_topk_experiment",
-    "save_edge_list",
-    "separation_report",
-    "spectral_top2",
-    "tail_envelope",
-    "top_k",
-    "write_figure1_csv",
-    "write_json_mirror",
-    "write_summary_csv",
-]
+__all__ = graphs.__all__ + noise.__all__ + centrality.__all__ + bounds.__all__ + experiments.__all__

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
-from .graphs import Graph, _stream_rng
+from .graphs import Graph, _check_seed, _stream_rng
 
 __all__ = [
     "TopKSet",
@@ -186,6 +186,7 @@ def top_k(scores, k: int, seed: int) -> TopKSet:
     """
     s = _scores(scores)
     n = s.size
+    _check_seed(seed)
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= {n}, got k={k}")
     cutoff = np.partition(s, n - k)[n - k]

@@ -376,6 +376,8 @@ def run_topk_experiment(cfg: ExperimentConfig, threads: int = 1) -> list[Summary
     trial's seed depends only on (seed_root, cell, graph, draw) and both
     maps return the results in job order, which is grid order.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be a positive integer, got {threads}")
     cells = cfg.cells()
     per_cell = cfg.graphs_per_point
     jobs = [(cell_idx, n, noise, g) for cell_idx, (_, n, noise) in enumerate(cells) for g in range(per_cell)]
@@ -476,8 +478,8 @@ def run_figure1_profile(
     mean degree is about 2m.  Each model's table ranks nodes by original
     degree and reports the noisy degree of the same node.
     """
-    if not 1 <= mean_degree < n:
-        raise ValueError(f"need 1 <= mean_degree < n, got {mean_degree}, n={n}")
+    if not 2 <= mean_degree < n:
+        raise ValueError(f"need 2 <= mean_degree < n, got mean_degree={mean_degree}, n={n}")
     if pa_m is None:
         pa_m = max(1, int(round(mean_degree / 2)))
     models = {  # the MODELS keys of each graph

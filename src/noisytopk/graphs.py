@@ -24,6 +24,7 @@ __all__ = [
     "generate_small_world",
     "save_edge_list",
     "load_edge_list",
+    "pair_index",
 ]
 
 
@@ -64,8 +65,15 @@ STREAM_VERSION = 2
 _SPAWN_KEYS = {"pa": (), "er": (1,), "sw": (2,), "noise": (3,), "tiebreak": (4,)}
 
 
+def _check_seed(seed: int) -> None:
+    """Reject a seed that is not a non-negative integer, naming it (SeedSequence's own error does not)."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+
+
 def _stream_rng(seed: int, consumer: str) -> np.random.Generator:
     """The generator one consumer ('er', 'pa', 'sw', 'noise', 'tiebreak') draws from for seed."""
+    _check_seed(seed)
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=_SPAWN_KEYS[consumer]))
 
 
@@ -74,8 +82,8 @@ class Graph:
     """Simple undirected graph on nodes 0..n-1 with a canonical edge array.
 
     The constructor accepts edges in any row order and orientation,
-    canonicalizes them, and rejects self-loops, duplicate pairs, and
-    out-of-range endpoints.  The stored arrays (edges, and their linear pair
+    canonicalizes them, and rejects non-integral or out-of-range endpoints,
+    self-loops, and duplicate pairs.  The stored arrays (edges, and their linear pair
     indices) are read-only so instances can be shared across threads and processes.
     """
 
@@ -85,7 +93,10 @@ class Graph:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"need at least one node, got n={self.n}")
-        e = np.asarray(self.edges, dtype=np.int64)
+        e = np.asarray(self.edges)
+        if e.dtype.kind == "f" and not np.all(np.isfinite(e) & (e == np.floor(e))):
+            raise ValueError("edge endpoints must be integers")
+        e = e.astype(np.int64, copy=False)
         if e.size == 0:
             e = e.reshape(0, 2)
         if e.ndim != 2 or e.shape[1] != 2:
@@ -156,6 +167,8 @@ class Graph:
 
     def neighbors(self, i: int) -> np.ndarray:
         """Sorted neighbor ids of node i."""
+        if not (isinstance(i, (int, np.integer)) and 0 <= i < self.n):
+            raise ValueError(f"node {i} is not in range({self.n})")
         e = self.edges
         return np.sort(np.concatenate([e[e[:, 0] == i, 1], e[e[:, 1] == i, 0]]))
 

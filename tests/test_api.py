@@ -1,11 +1,13 @@
 """The public API holds only what the package and its demos use.
 
 A name in noisytopk.__all__ that only tests call is a test helper and
-belongs in tests/conftest.py, not in the package.  Every third-party
-package the tests import is declared in pyproject.toml.
+belongs in tests/conftest.py, not in the package.  Each module's __all__
+declares its public names once, and the package re-exports them.  Every
+third-party package the tests import is declared in pyproject.toml.
 """
 
 import ast
+import inspect
 import re
 import sys
 from pathlib import Path
@@ -13,7 +15,9 @@ from pathlib import Path
 import pytest
 
 import noisytopk
+from noisytopk import bounds, centrality, experiments, graphs, noise
 
+MODULES = (graphs, noise, centrality, bounds, experiments)
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "noisytopk").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
 
@@ -38,6 +42,20 @@ def test_public_name_is_used_by_the_package_or_a_demo(name):
         if path.name != "__init__.py" and name in set(_references(ast.parse(path.read_text()), skip=name))
     ]
     assert users, f"{name} is exported but used only by tests; move it to tests/conftest.py"
+
+
+def test_package_exports_exactly_the_module_lists():
+    assert noisytopk.__all__ == [name for module in MODULES for name in module.__all__]
+    assert len(set(noisytopk.__all__)) == len(noisytopk.__all__)
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
+def test_listed_classes_and_functions_are_defined_by_the_listing_module(module):
+    for name in module.__all__:
+        obj = getattr(noisytopk, name)
+        assert obj is getattr(module, name)
+        if inspect.isclass(obj) or inspect.isfunction(obj):
+            assert obj.__module__ == module.__name__, name
 
 
 def _requirement_name(spec: str) -> str:

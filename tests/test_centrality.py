@@ -127,6 +127,11 @@ class TestTopK:
             with pytest.raises(ValueError):
                 top_k(bad, 1, seed=0)
 
+    def test_negative_seed_is_rejected_with_or_without_a_tie(self):
+        for scores in ([3, 2, 1, 0], [3, 2, 2, 0]):
+            with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+                top_k(_scores(scores), 2, seed=-1)
+
     def test_k_bounds(self):
         with pytest.raises(ValueError):
             top_k(_scores([1, 2]), 0, seed=0)

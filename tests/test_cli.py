@@ -164,6 +164,12 @@ class TestGenerate:
         code = main(["generate", "er", "--n", "20", "--p", "1.5", "--out", str(tmp_path / "g.txt")])
         assert code == 2
 
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "g.txt"
+        assert main(["generate", "er", "--n", "10", "--p", "0.3", "--seed", "-1", "--out", str(out)]) == 2
+        assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestPerturb:
     def test_flip_counts_reported(self, tmp_path, capsys):

@@ -211,6 +211,11 @@ class TestRunTopkExperiment:
         # two cells of three latent graphs, each with its own solve and four noisy ones
         assert len(calls) == 2 * 3 * (1 + 4)
 
+    @pytest.mark.parametrize("threads", [0, -2])
+    def test_non_positive_threads_is_rejected(self, threads):
+        with pytest.raises(ValueError, match=f"threads must be a positive integer, got {threads}"):
+            run_topk_experiment(_base_cfg(), threads=threads)
+
     def test_worker_error_reaches_the_caller(self):
         # the model table parses p = 1.5; generate_er rejects it inside a worker
         with pytest.raises(ValueError, match="edge probability"):
@@ -407,6 +412,9 @@ class TestRunFigure1Profile:
     def test_mean_degree_domain(self):
         with pytest.raises(ValueError):
             run_figure1_profile(n=10, mean_degree=10, noise=NoiseParams(0.0, 0.0), seed=1)
+        # a mean degree of 1 leaves small world no ring; the error names the figure1 key
+        with pytest.raises(ValueError, match="mean_degree=1"):
+            run_figure1_profile(n=50, mean_degree=1, noise=NoiseParams(0.0, 0.0), seed=1)
 
 
 class TestWriters:

@@ -67,6 +67,7 @@ class TestGraphType:
         a, b = Graph(n, canon), Graph(n, mixed)
         assert np.array_equal(a.edges, canon)
         assert np.array_equal(b.edges, canon)
+        assert np.array_equal(Graph(n, mixed.astype(float)).edges, canon)
         assert np.array_equal(b.edge_linear_indices(), a.edge_linear_indices())
         assert np.array_equal(a.edge_linear_indices(), pair_index(n, canon[:, 0], canon[:, 1]))
 
@@ -105,6 +106,20 @@ class TestGraphType:
             _graph(3, [[0, 3]])
         with pytest.raises(ValueError):
             _graph(3, [[-1, 2]])
+
+    def test_rejects_non_integral_endpoints(self):
+        with pytest.raises(ValueError, match="integers"):
+            Graph(3, [[0.5, 1.7]])
+        with pytest.raises(ValueError, match="integers"):
+            Graph(3, np.array([[0.0, np.nan]]))
+        assert Graph(3, np.array([[0.0, 2.0]])).edges.tolist() == [[0, 2]]
+
+    def test_neighbors_rejects_unknown_node(self):
+        g = _graph(5, [[0, 1]])
+        assert g.neighbors(1).tolist() == [0]
+        for node in (99, 5, -1, 1.5):
+            with pytest.raises(ValueError, match=rf"node {node} is not in range\(5\)"):
+                g.neighbors(node)
 
     def test_degree_array_sums_to_twice_edges(self):
         g = _graph(5, [[0, 1], [1, 2], [2, 3], [3, 4], [0, 4], [1, 3]])
@@ -149,6 +164,10 @@ class TestErdosRenyi:
         counts = [generate_er(n, p, seed=s).num_edges for s in range(reps)]
         se = math.sqrt(n_pairs * p * (1 - p) / reps)
         assert abs(np.mean(counts) - n_pairs * p) <= 4 * se
+
+    def test_negative_seed_is_rejected_by_name(self):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+            generate_er(10, 0.3, seed=-1)
 
     def test_invalid_p(self):
         with pytest.raises(ValueError):
@@ -281,7 +300,7 @@ class TestDegrees:
         # figure1 ranks nodes by true degree; on an all-ties graph that is node id order
         tied = _graph(4, [[0, 1], [2, 3]])
         monkeypatch.setattr(experiments, "make_graph", lambda *args: tied)
-        profile = experiments.run_figure1_profile(n=4, mean_degree=1, noise=NoiseParams(0.0, 0.0), seed=0)
+        profile = experiments.run_figure1_profile(n=4, mean_degree=2, noise=NoiseParams(0.0, 0.0), seed=0)
         for entry in profile["models"].values():
             assert [r[1] for r in entry["rows"]] == [0, 1, 2, 3]
 
