@@ -41,7 +41,7 @@ def show(title, g, params):
         print(f"rank {rank}: degree {int(d_sorted[rank - 1])}, "
               f"observed mean {mom.mu:.2f}, sd {mom.sigma:.3f}")
 
-    report = bound_report(g, K, params, delta=DELTA)
+    report = bound_report(g.degree_array(), K, params, delta=DELTA)
     sep = report["separation"]
     inf_rep = report["infeasibility"]
     env = report["tail_envelope"]

@@ -16,8 +16,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .centrality import SpectralPair, TopKSet, _scores, spectral_top2
-from .graphs import Graph
+from .centrality import SpectralPair, TopKSet, _scores
+from .graphs import _integers
 from .noise import NoiseParams
 
 __all__ = [
@@ -198,7 +198,7 @@ def _band(m: int, n: int, c_of_n: float | None) -> tuple[float, float]:
 
 def _descending(degrees) -> np.ndarray:
     """The degrees, one per node in any node order, as int64 sorted non-increasingly."""
-    d = np.asarray(degrees, dtype=np.int64)
+    d = _integers(degrees, "degrees")
     if d.ndim != 1:
         raise ValueError(f"degrees must be a 1-d array, got shape {d.shape}")
     return np.sort(d)[::-1]
@@ -533,25 +533,27 @@ def _fields_past_rank(report) -> dict:
 
 
 def bound_report(
-    g: Graph,
+    degrees,
     k: int,
     params: NoiseParams,
     delta: float = 0.05,
     c1: float = 0.5,
     c_of_n: float | None = None,
     i_star: int | None = None,
-    include_evec: bool = True,
-    tol: float = 1e-10,
-    max_iter: int = 10000,
+    spectral: SpectralPair | None = None,
 ) -> dict:
     """Assemble every bound evaluation for one graph into a dict of plain values.
 
-    Numbers are plain Python floats and ints, so snr and eps_n may be
-    inf or nan.  The CLI writes the report as strict JSON, with those
-    values as the strings 'nan'/'inf'/'-inf'.
+    degrees holds one true degree per node, in any node order; spectral, the graph's solved top-2 pair,
+    gives the evec section, which is None without it.  Numbers are plain Python floats and ints, so snr
+    and eps_n may be inf or nan; the CLI writes those into strict JSON as the strings 'nan'/'inf'/'-inf'.
     """
-    deg = g.degree_array()
-    n = g.n
+    deg = _descending(degrees)
+    n, degree_sum = deg.size, int(deg.sum())
+    if degree_sum % 2:
+        raise ValueError(f"degrees must have an even sum, got {degree_sum}")
+    if spectral is not None and spectral.x.size != n:
+        raise ValueError(f"spectral pair has {spectral.x.size} entries, degrees have {n}")
     if i_star is None:
         i_star = default_i_star(deg, k, params)
     sep = separation_report(deg, k, i_star, params, delta, c_of_n)
@@ -559,7 +561,7 @@ def bound_report(
     out: dict = {
         "note": LEADING_ORDER_NOTE,
         "n": n,
-        "num_edges": g.num_edges,
+        "num_edges": degree_sum // 2,
         "k": k,
         "alpha": params.alpha,
         "beta": params.beta,
@@ -570,26 +572,24 @@ def bound_report(
         "separation": _fields_past_rank(sep),
         "infeasibility": _fields_past_rank(inf_rep),
         "regime": classify_regime(sep, inf_rep),
-        # the reports above need k <= n - 3, so the envelope's n - k >= 3 and the eigensolve's n >= 3 hold
+        # the reports above need k <= n - 3, so the envelope's n - k >= 3 holds
         "tail_envelope": tail_envelope(deg, k, params, c_of_n)._asdict(),
+        "evec": None,
     }
-    if include_evec:
-        pair = spectral_top2(g, tol=tol, max_iter=max_iter)
-        eb = evec_bound(pair, params)
+    if spectral is not None:
+        eb = evec_bound(spectral, params)
         out["evec"] = {
-            "lambda1": pair.lambda1,
-            "lambda2": pair.lambda2,
-            "converged": pair.converged,
-            "residual": pair.residual,
-            "degenerate": pair.degenerate,
-            "disconnected": pair.disconnected,
+            "lambda1": spectral.lambda1,
+            "lambda2": spectral.lambda2,
+            "converged": spectral.converged,
+            "residual": spectral.residual,
+            "degenerate": spectral.degenerate,
+            "disconnected": spectral.disconnected,
             "b1": eb.b1,
             "b2": eb.b2,
             "b3": eb.b3,
             "eps_n": eb.eps_n,
             "gap_condition_ok": eb.gap_condition_ok,
-            "topk_entry_gap_ok": evec_gap_check(pair, k, eb),
+            "topk_entry_gap_ok": evec_gap_check(spectral, k, eb),
         }
-    else:
-        out["evec"] = None
     return out

@@ -205,20 +205,19 @@ def cmd_centrality(args) -> int:
 
 def cmd_bounds(args) -> int:
     g = load_edge_list(args.input)
+    pair = None if args.no_evec else spectral_top2(g, tol=args.tol, max_iter=args.max_iter)
+    if pair is not None and not pair.converged:
+        return _nonconverged(args, pair.residual)
     report = bound_report(
-        g,
+        g.degree_array(),
         k=args.k,
         params=NoiseParams(alpha=args.alpha, beta=args.beta),
         delta=args.delta,
         c1=args.c1,
         c_of_n=args.c_of_n,
         i_star=args.i_star,
-        include_evec=not args.no_evec,
-        tol=args.tol,
-        max_iter=args.max_iter,
+        spectral=pair,
     )
-    if report["evec"] is not None and not report["evec"]["converged"]:
-        return _nonconverged(args, report["evec"]["residual"])
     text = json_text(report)
     if args.out is None:
         sys.stdout.write(text)

@@ -35,6 +35,14 @@ def pair_index(n: int, u, v):
     return u * (2 * n - u - 1) // 2 + (v - u - 1)
 
 
+def _integers(values, what: str) -> np.ndarray:
+    """values as int64: integers and integral floats load; bool, fractional, non-finite or non-numeric entries raise."""
+    a = np.asarray(values)
+    if a.dtype.kind not in "iuf" or (a.dtype.kind == "f" and not np.all(np.isfinite(a) & (a == np.floor(a)))):
+        raise ValueError(f"{what} must be integers")
+    return a.astype(np.int64, copy=False)
+
+
 def _row_counts(n: int, lin: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """For sorted linear indices: the count in each row u, and the offset by which u's indices exceed their column."""
     r = np.arange(n, dtype=np.int64)
@@ -93,10 +101,7 @@ class Graph:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"need at least one node, got n={self.n}")
-        e = np.asarray(self.edges)
-        if e.dtype.kind == "f" and not np.all(np.isfinite(e) & (e == np.floor(e))):
-            raise ValueError("edge endpoints must be integers")
-        e = e.astype(np.int64, copy=False)
+        e = _integers(self.edges, "edge endpoints")
         if e.size == 0:
             e = e.reshape(0, 2)
         if e.ndim != 2 or e.shape[1] != 2:

@@ -75,3 +75,18 @@ def test_test_imports_are_declared_dependencies():
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 imported.add(node.module.split(".")[0])
     assert sorted(imported - local - declared) == []
+
+
+def test_bounds_module_takes_numbers_not_graphs():
+    tree = ast.parse((ROOT / "src" / "noisytopk" / "bounds.py").read_text())
+    imported = {
+        alias.asname or alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names
+    }
+    assert "Graph" not in imported
+    assert "spectral_top2" not in imported | set(_references(tree))
+
+
+def test_source_fits_the_line_budget():
+    # the budget that the next schema change must fit in
+    lines = sum(len(path.read_text().splitlines()) for path in (ROOT / "src" / "noisytopk").glob("*.py"))
+    assert lines <= 2525

@@ -33,7 +33,8 @@ from noisytopk import (
     tail_envelope,
     top_k,
 )
-from noisytopk import Graph, apply_noise
+from noisytopk import Graph, apply_noise, json_text, save_edge_list
+from noisytopk.cli import main
 from conftest import normal_cdf_quadrature
 
 
@@ -248,34 +249,52 @@ class TestDefaultIStar:
         assert dsorted[2] - dsorted[i_star - 1] >= need
 
 
+def _degree_reports(k, i_star, params):
+    """Every function that ranks a degree array, called on the array alone."""
+    return {
+        "default_i_star": lambda d: default_i_star(d, k, params),
+        "separation_report": lambda d: separation_report(d, k, i_star, params, delta=0.05),
+        "infeasibility_report": lambda d: infeasibility_report(d, k, i_star, params),
+        "tail_envelope": lambda d: tail_envelope(d, k, params),
+        "bound_report": lambda d: bound_report(d, k, params, i_star=i_star),
+    }
+
+
+DEGREE_REPORTS = list(_degree_reports(1, 3, NoiseParams(0.1, 0.1)))
+
+
 class TestDegreeArrays:
     def test_not_one_dimensional_rejected(self):
         deg = np.array([[5, 4, 3], [2, 1, 0]])
-        params = NoiseParams(0.1, 0.1)
-        for report in (
-            lambda: default_i_star(deg, 1, params),
-            lambda: separation_report(deg, 1, 3, params, delta=0.05),
-            lambda: infeasibility_report(deg, 1, 3, params),
-            lambda: tail_envelope(deg, 1, params),
-        ):
+        for report in _degree_reports(1, 3, NoiseParams(0.1, 0.1)).values():
             with pytest.raises(ValueError, match="1-d"):
-                report()
+                report(deg)
+
+    @pytest.mark.parametrize("name", DEGREE_REPORTS)
+    @pytest.mark.parametrize(
+        "deg",
+        [[6.9, 5.2, 4.5, 3, 2, 2, 1, 1], [6, 5, 4, 3, 2, np.nan, 1, 1], [6, 5, 4, 3, 2, np.inf, 1, 1],
+         [True, True, True, False, True, False, True, True]],
+        ids=["fractional", "nan", "inf", "bool"],
+    )
+    def test_non_integer_degrees_rejected(self, name, deg):
+        report = _degree_reports(1, 3, NoiseParams(0.1, 0.1))[name]
+        with pytest.raises(ValueError, match="degrees must be integers"):
+            report(np.array(deg))
+        integral = [6, 5, 4, 3, 2, 2, 1, 1]
+        assert report(np.array(integral, dtype=np.float64)) == report(np.array(integral))
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())
     def test_every_degree_report_ignores_node_order(self, data):
         n = data.draw(st.integers(6, 40))
         deg = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n)))
+        deg[deg.argmax()] -= deg.sum() % 2  # bound_report needs an even degree sum
         shuffled = deg[np.array(data.draw(st.permutations(range(n))))]
         k = data.draw(st.integers(1, n - 3))
         i_star = data.draw(st.integers(k + 1, n - 2))
         params = NoiseParams(data.draw(st.floats(0.0, 0.45)), data.draw(st.floats(0.0, 0.45)))
-        for report in (
-            lambda d: default_i_star(d, k, params),
-            lambda d: separation_report(d, k, i_star, params, delta=0.05),
-            lambda d: infeasibility_report(d, k, i_star, params),
-            lambda d: tail_envelope(d, k, params),
-        ):
+        for report in _degree_reports(k, i_star, params).values():
             assert report(shuffled) == report(deg)
 
 
@@ -589,7 +608,7 @@ class TestClassifyRegime:
 class TestBoundReport:
     def test_json_ready_and_labeled(self):
         g = generate_er(80, 0.2, seed=6)
-        report = bound_report(g, k=5, params=NoiseParams(0.05, 0.05))
+        report = bound_report(g.degree_array(), k=5, params=NoiseParams(0.05, 0.05), spectral=spectral_top2(g))
         text = json.dumps(report)
         assert "leading-order" in report["note"]
         parsed = json.loads(text)
@@ -616,7 +635,7 @@ class TestBoundReport:
     def test_non_finite_serialized_as_strings(self):
         # a tied cutoff at zero noise gives snr = inf
         g = _graph(6, [[0, 1], [0, 2], [0, 3], [1, 2], [4, 5], [1, 3]])
-        report = bound_report(g, k=2, params=NoiseParams(0.0, 0.0), include_evec=False)
+        report = bound_report(g.degree_array(), k=2, params=NoiseParams(0.0, 0.0))
         assert report["evec"] is None
         text = json.dumps(report)
         parsed = json.loads(text)
@@ -624,10 +643,28 @@ class TestBoundReport:
 
     def test_non_finite_stay_floats(self):
         g = _graph(6, [[0, 1], [0, 2], [0, 3], [1, 2], [4, 5], [1, 3]])
-        report = bound_report(g, k=2, params=NoiseParams(0.0, 0.0), include_evec=False)
+        report = bound_report(g.degree_array(), k=2, params=NoiseParams(0.0, 0.0))
         assert report["separation"]["snr"] == math.inf
 
     def test_skip_evec(self):
         g = generate_er(40, 0.3, seed=2)
-        report = bound_report(g, k=4, params=NoiseParams(0.02, 0.02), include_evec=False)
+        report = bound_report(g.degree_array(), k=4, params=NoiseParams(0.02, 0.02))
         assert report["evec"] is None
+
+    def test_matches_the_cli_file_byte_for_byte(self, tmp_path):
+        g = generate_er(60, 0.15, seed=3)
+        src, dst = tmp_path / "g.txt", tmp_path / "report.json"
+        save_edge_list(g, src)
+        assert main(["bounds", "--in", str(src), "--k", "4", "--alpha", "0.03", "--beta", "0.05", "--out", str(dst)]) == 0
+        report = bound_report(g.degree_array(), k=4, params=NoiseParams(0.03, 0.05), spectral=spectral_top2(g))
+        assert report["evec"] is not None
+        assert json_text(report) == dst.read_text(encoding="ascii")
+
+    def test_spectral_pair_of_another_size_rejected(self):
+        g = generate_er(40, 0.3, seed=2)
+        with pytest.raises(ValueError, match="spectral pair has 5 entries, degrees have 40"):
+            bound_report(g.degree_array(), k=4, params=NoiseParams(0.02, 0.02), spectral=spectral_top2(STAR))
+
+    def test_odd_degree_sum_rejected(self):
+        with pytest.raises(ValueError, match="even sum, got 13"):
+            bound_report(np.array([4, 3, 2, 2, 1, 1, 0]), k=1, params=NoiseParams(0.02, 0.02))

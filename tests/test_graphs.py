@@ -112,6 +112,8 @@ class TestGraphType:
             Graph(3, [[0.5, 1.7]])
         with pytest.raises(ValueError, match="integers"):
             Graph(3, np.array([[0.0, np.nan]]))
+        with pytest.raises(ValueError, match="integers"):
+            Graph(3, np.array([[True, False]]))
         assert Graph(3, np.array([[0.0, 2.0]])).edges.tolist() == [[0, 2]]
 
     def test_neighbors_rejects_unknown_node(self):
