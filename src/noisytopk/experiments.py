@@ -17,7 +17,7 @@ import concurrent.futures
 import csv
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, is_dataclass
 from functools import partial
 
 import numpy as np
@@ -101,12 +101,8 @@ class NoiseSchedule:
             raise ValueError(f"coef must be nonnegative, got {self.coef}")
 
     def rate(self, n: int) -> float:
-        out = self.coef
-        if self.n_power != 0.0:
-            out *= float(n) ** (-self.n_power)
-        if self.log_power != 0.0:
-            out *= math.log(n) ** (-self.log_power)
-        return out
+        # a zero power gives a factor of exactly 1.0, which leaves coef unchanged
+        return self.coef * float(n) ** (-self.n_power) * math.log(n) ** (-self.log_power)
 
 
 @dataclass
@@ -206,6 +202,21 @@ class SummaryRow:
     n_disconnected: int
 
 
+# each SummaryRow mean over the per-graph values of _run_one_graph, with its standard-error column
+_MEANS = (
+    ("mean_half_hamming", "se_half_hamming"),
+    ("mean_lower_bound", "se_lower_bound"),
+    ("mean_upper_bound", "se_upper_bound"),
+    ("exp_lower_bound", "se_exp_lower_bound"),
+    ("exp_upper_bound", "se_exp_upper_bound"),
+    ("exact_recovery_rate", "se_exact_recovery"),
+    ("jaccard_degree", "se_jaccard_degree"),
+    ("jaccard_evec", "se_jaccard_evec"),
+)
+# the SummaryRow counts summed over the graphs of a grid point
+_COUNTS = ("n_excluded", "n_disconnected")
+
+
 @dataclass
 class LocalizationRow:
     """One grid point of the hub-localization study on PA trees."""
@@ -254,7 +265,7 @@ def make_graph(model: str, params: dict, n: int, seed: int) -> Graph:
 
 
 def _run_one_graph(cfg: ExperimentConfig, cell_idx: int, n: int, noise: NoiseParams, graph_idx: int) -> dict:
-    """All noise draws for one latent graph; returns per-graph aggregates."""
+    """All noise draws for one latent graph; returns its value of every _MEANS mean and _COUNTS count."""
     k = cfg.k
     draws = cfg.noise_draws_per_graph
     graph_seed = derive_seed(cfg.seed_root, STREAM_GRAPH, cell_idx, graph_idx)
@@ -266,12 +277,12 @@ def _run_one_graph(cfg: ExperimentConfig, cell_idx: int, n: int, noise: NoisePar
     want_evec = cfg.centrality == "both"
     s_k_evec = None  # stays None when the latent solve does not converge
     if want_evec:
-        lam1, x, ok = leading_eigenvector(g)
+        _, x, ok = leading_eigenvector(g)
         if ok:
             s_k_evec = top_k(x, k, tie_seed)
 
     dh, lower, upper, jac_deg = (np.empty(draws) for _ in range(4))
-    jac_evec_sum, jac_evec_cnt, n_excluded, n_disconnected = 0.0, 0, 0, 0
+    jac_evec_sum, jac_evec_cnt, n_disconnected = 0.0, 0, 0
     in_below = in_at_most = out_above = out_at_least = 0
 
     for r in range(draws):
@@ -295,13 +306,11 @@ def _run_one_graph(cfg: ExperimentConfig, cell_idx: int, n: int, noise: NoisePar
             n_comp, _ = connected_components(y.adjacency_csr(), directed=False)
             if n_comp > 1:
                 n_disconnected += 1
-            lam1y, xy, oky = leading_eigenvector(y)
+            _, xy, oky = leading_eigenvector(y)
             if s_k_evec is not None and oky:
                 s_tilde_evec = top_k(xy, k, tie_seed)
                 jac_evec_sum += jaccard(s_k_evec, s_tilde_evec)
                 jac_evec_cnt += 1
-            else:
-                n_excluded += 1
 
     return {
         "mean_half_hamming": float(dh.mean() / 2.0),
@@ -312,7 +321,7 @@ def _run_one_graph(cfg: ExperimentConfig, cell_idx: int, n: int, noise: NoisePar
         "exact_recovery_rate": float(np.mean(dh == 0)),
         "jaccard_degree": float(jac_deg.mean()),
         "jaccard_evec": (jac_evec_sum / jac_evec_cnt) if jac_evec_cnt else math.nan,
-        "n_excluded": n_excluded,
+        "n_excluded": draws - jac_evec_cnt if want_evec else 0,  # draws without an eigenvector Jaccard
         "n_disconnected": n_disconnected,
     }
 
@@ -327,28 +336,15 @@ def _mean_se(values: np.ndarray) -> tuple[float, float]:
     return mean, float(vals.std(ddof=1) / math.sqrt(vals.size))
 
 
-# the SummaryRow standard-error column of every per-graph mean
-_SE_FIELD = {
-    "mean_half_hamming": "se_half_hamming",
-    "mean_lower_bound": "se_lower_bound",
-    "mean_upper_bound": "se_upper_bound",
-    "exp_lower_bound": "se_exp_lower_bound",
-    "exp_upper_bound": "se_exp_upper_bound",
-    "exact_recovery_rate": "se_exact_recovery",
-    "jaccard_degree": "se_jaccard_degree",
-    "jaccard_evec": "se_jaccard_evec",
-}
-
-
 def _aggregate_cell(
     cfg: ExperimentConfig, x_value: float, n: int, noise: NoiseParams, per_graph: list[dict]
 ) -> SummaryRow:
-    stats = {}
-    for name, se_name in _SE_FIELD.items():
+    stats = {name: int(sum(pg[name] for pg in per_graph)) for name in _COUNTS}
+    for name, se_name in _MEANS:
         stats[name], stats[se_name] = _mean_se(np.array([pg[name] for pg in per_graph], dtype=np.float64))
 
     theory = math.nan
-    if cfg.theory_curve and cfg.model == "er":
+    if cfg.theory_curve:  # ExperimentConfig allows it for the er model only
         try:
             theory = er_expected_hamming_lower_bound(n, float(cfg.model_params["p"]), noise, cfg.k)
         except ValueError:
@@ -362,8 +358,6 @@ def _aggregate_cell(
         theory_lower=theory,
         n_graphs=len(per_graph),
         n_draws=len(per_graph) * cfg.noise_draws_per_graph,
-        n_excluded=int(sum(pg["n_excluded"] for pg in per_graph)),
-        n_disconnected=int(sum(pg["n_disconnected"] for pg in per_graph)),
         **stats,
     )
 
@@ -416,8 +410,7 @@ def run_localization(
         PaParams(n=n, m=1, b=b)
     rows = []
     for cell_idx, n in enumerate(n_grid):
-        x_h_vals, m_out_vals, gap_vals = [], [], []
-        n_excluded = 0
+        values = {"x_h": [], "m_out": [], "gap": []}  # of each tree whose solve converged
         n_ties = 0
         for rep in range(reps):
             seed = derive_seed(seed_root, STREAM_GRAPH, cell_idx, rep)
@@ -426,38 +419,25 @@ def run_localization(
             h = int(np.argmax(deg))
             if int(np.count_nonzero(deg == deg[h])) > 1:
                 n_ties += 1
-            lam1, x, ok = leading_eigenvector(g)
+            _, x, ok = leading_eigenvector(g)
             if not ok:
-                n_excluded += 1
                 continue
             nb = g.neighbors(h)
             outside = np.ones(n, dtype=bool)
             outside[h] = False
             outside[nb] = False
-            x_h_vals.append(float(x[h]))
-            m_out_vals.append(float(np.sum(x[outside] ** 2)))
-            gap_vals.append(float(x[h] - x[nb].max()))
+            values["x_h"].append(float(x[h]))
+            values["m_out"].append(float(np.sum(x[outside] ** 2)))
+            values["gap"].append(float(x[h] - x[nb].max()))
 
-        def stats(vals: list[float]):
+        stats = {}  # LocalizationRow names each statistic of a quantity f"{quantity}_{statistic}"
+        for quantity, vals in values.items():
             arr = np.asarray(vals, dtype=np.float64)
-            if arr.size == 0:
-                return math.nan, math.nan, math.nan, math.nan, math.nan
-            return (*_mean_se(arr), *(float(v) for v in np.quantile(arr, [0.1, 0.5, 0.9])))
-
-        xh = stats(x_h_vals)
-        mo = stats(m_out_vals)
-        gp = stats(gap_vals)
-        rows.append(
-            LocalizationRow(
-                n=n,
-                reps_used=len(x_h_vals),
-                x_h_mean=xh[0], x_h_se=xh[1], x_h_q10=xh[2], x_h_q50=xh[3], x_h_q90=xh[4],
-                m_out_mean=mo[0], m_out_se=mo[1], m_out_q10=mo[2], m_out_q50=mo[3], m_out_q90=mo[4],
-                gap_mean=gp[0], gap_se=gp[1], gap_q10=gp[2], gap_q50=gp[3], gap_q90=gp[4],
-                n_excluded=n_excluded,
-                n_hub_ties=n_ties,
-            )
-        )
+            quantiles = np.quantile(arr, [0.1, 0.5, 0.9]).tolist() if arr.size else [math.nan] * 3
+            names = (f"{quantity}_{stat}" for stat in ("mean", "se", "q10", "q50", "q90"))
+            stats.update(zip(names, (*_mean_se(arr), *quantiles), strict=True))
+        used = len(values["x_h"])
+        rows.append(LocalizationRow(n=n, reps_used=used, n_excluded=reps - used, n_hub_ties=n_ties, **stats))
     return rows
 
 
@@ -524,8 +504,8 @@ def write_summary_csv(rows: list[SummaryRow] | list[LocalizationRow], path) -> N
     """Write SummaryRow or LocalizationRow records; header names match the dataclass fields."""
     if not rows:
         raise ValueError("no rows to write")
-    names = [f.name for f in fields(rows[0])]
-    write_csv(path, names, ([getattr(row, name) for name in names] for row in rows))
+    records = [asdict(row) for row in rows]
+    write_csv(path, list(records[0]), (record.values() for record in records))
 
 
 def write_figure1_csv(profile: dict, path) -> None:
@@ -562,8 +542,7 @@ def write_json_mirror(path, meta: dict, rows) -> None:
     Non-finite floats become the strings 'nan'/'inf'/'-inf' so the file
     is strict JSON.
     """
-    if rows and hasattr(rows[0], "__dataclass_fields__"):
-        names = [f.name for f in fields(rows[0])]
-        rows = [{name: getattr(row, name) for name in names} for row in rows]
+    if rows and is_dataclass(rows[0]):
+        rows = [asdict(row) for row in rows]
     with open(path, "w", encoding="ascii") as fh:
         fh.write(json_text({"meta": meta, "rows": rows}))

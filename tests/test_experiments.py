@@ -1,4 +1,6 @@
 import csv
+import dataclasses
+import itertools
 import json
 import math
 
@@ -19,6 +21,7 @@ from noisytopk import (
     write_json_mirror,
     write_summary_csv,
 )
+from noisytopk import experiments
 
 
 class TestDeriveSeed:
@@ -70,6 +73,11 @@ class TestNoiseSchedule:
     def test_negative_coef_rejected(self):
         with pytest.raises(ValueError):
             NoiseSchedule(coef=-0.1)
+
+    @pytest.mark.parametrize("n", [2, 3, 400, 10**6 + 3])
+    def test_a_zero_power_leaves_the_rate_bit_exact(self, n):
+        assert NoiseSchedule(0.1, n_power=0.5).rate(n) == 0.1 * float(n) ** -0.5
+        assert NoiseSchedule(0.1, log_power=1.0).rate(n) == 0.1 * math.log(n) ** -1.0
 
 
 def _base_cfg(**over):
@@ -253,7 +261,8 @@ class TestRunTopkExperiment:
         cfg = _base_cfg(graphs_per_point=4, noise_draws_per_graph=3)
         serial = run_topk_experiment(cfg, threads=1)
         parallel = run_topk_experiment(cfg, threads=3)
-        assert serial == parallel
+        # repr compares every float bit for bit, NaN included
+        assert repr(parallel) == repr(serial)
 
     def test_pool_has_at_most_one_worker_per_job(self, monkeypatch):
         import noisytopk.experiments as experiments
@@ -310,6 +319,77 @@ class TestRunTopkExperiment:
         assert rows_a == rows_a2
 
 
+def _evec_cfg(**over):
+    kw = dict(
+        model="er",
+        model_params={"n": 30, "p": 0.3},
+        k=3,
+        graphs_per_point=4,
+        noise_draws_per_graph=3,
+        seed_root=1,
+        noise_grid=(NoiseParams(0.05, 0.05),),
+        centrality="both",
+    )
+    kw.update(over)
+    return ExperimentConfig(**kw)
+
+
+def _fail_solves(monkeypatch, fails):
+    """Report the leading_eigenvector calls whose 0-based index i has fails(i) as not converged."""
+    real = experiments.leading_eigenvector
+    calls = itertools.count()
+
+    def solve(g, *args, **kwargs):
+        lam, x, ok = real(g, *args, **kwargs)
+        return lam, x, ok and not fails(next(calls))
+
+    monkeypatch.setattr(experiments, "leading_eigenvector", solve)
+
+
+def _fail_latent_solves(monkeypatch, cfg, graphs):
+    """Fail the latent solve of each listed graph in a serial run of one cell: a graph solves itself, then its draws."""
+    per_graph = 1 + cfg.noise_draws_per_graph
+    _fail_solves(monkeypatch, lambda i: i % per_graph == 0 and i // per_graph in graphs)
+
+
+class TestAggregateCell:
+    def test_per_graph_values_are_the_tables_columns(self):
+        cfg = _evec_cfg()
+        values = experiments._run_one_graph(cfg, 0, 30, cfg.noise_grid[0], 0)
+        assert sorted(values) == sorted([mean for mean, _ in experiments._MEANS] + list(experiments._COUNTS))
+
+    def test_failed_latent_solve_excludes_that_graph_from_the_eigenvector_columns(self, monkeypatch):
+        cfg = _evec_cfg()
+        others = [experiments._run_one_graph(cfg, 0, 30, cfg.noise_grid[0], j)["jaccard_evec"] for j in (1, 2, 3)]
+        base = run_topk_experiment(cfg)[0]
+        assert base.n_excluded == 0
+        assert base.jaccard_evec != pytest.approx(np.mean(others))  # graph 0 moves the mean
+
+        _fail_latent_solves(monkeypatch, cfg, graphs={0})
+        row = run_topk_experiment(cfg)[0]
+        assert row.n_excluded == cfg.noise_draws_per_graph
+        assert row.jaccard_evec == pytest.approx(np.mean(others), rel=1e-12)
+        assert row.se_jaccard_evec == pytest.approx(np.std(others, ddof=1) / math.sqrt(3), rel=1e-12)
+        for name in SummaryRow.__dataclass_fields__:
+            if name not in ("jaccard_evec", "se_jaccard_evec", "n_excluded"):
+                assert repr(getattr(row, name)) == repr(getattr(base, name)), name
+
+    def test_every_latent_solve_failing_leaves_no_eigenvector_mean(self, monkeypatch):
+        cfg = _evec_cfg()
+        _fail_latent_solves(monkeypatch, cfg, graphs={0, 1, 2, 3})
+        row = run_topk_experiment(cfg)[0]
+        assert row.n_excluded == 4 * cfg.noise_draws_per_graph
+        assert math.isnan(row.jaccard_evec)
+        assert math.isnan(row.se_jaccard_evec)
+        assert math.isfinite(row.jaccard_degree)
+
+    def test_one_graph_per_point_has_no_standard_errors(self):
+        row = run_topk_experiment(_evec_cfg(graphs_per_point=1))[0]
+        for mean, se in experiments._MEANS:
+            assert math.isfinite(getattr(row, mean)), mean
+            assert math.isnan(getattr(row, se)), se
+
+
 def _no_draws(*args, **kwargs):
     raise AssertionError("a tree was drawn before the arguments were validated")
 
@@ -331,6 +411,13 @@ class TestRunLocalization:
         a = run_localization([30], reps=10, seed_root=4)
         b = run_localization([30], reps=10, seed_root=4)
         assert a == b
+
+    @pytest.mark.parametrize("fail_every, used", [(3, 4), (1, 0)])
+    def test_non_converged_solves_are_counted_and_left_out(self, monkeypatch, fail_every, used):
+        _fail_solves(monkeypatch, lambda i: i % fail_every == 0)
+        row = run_localization([30], reps=7, seed_root=4)[0]
+        assert (row.reps_used, row.n_excluded) == (used, 7 - used)
+        assert math.isnan(row.gap_q50) == (used == 0)
 
     @pytest.mark.parametrize("reps", [0, -3])
     def test_nonpositive_reps_rejected_before_any_draw(self, monkeypatch, reps):
@@ -415,6 +502,46 @@ class TestRunFigure1Profile:
         # a mean degree of 1 leaves small world no ring; the error names the figure1 key
         with pytest.raises(ValueError, match="mean_degree=1"):
             run_figure1_profile(n=50, mean_degree=1, noise=NoiseParams(0.0, 0.0), seed=1)
+
+
+class TestSummarySchema:
+    def test_every_summary_field_has_one_source(self):
+        names = [f.name for f in dataclasses.fields(SummaryRow)]
+        own = ["x_value", "n", "alpha", "beta", "theory_lower", "n_graphs", "n_draws"]  # _aggregate_cell's own
+        sources = [*own, *(name for pair in experiments._MEANS for name in pair), *experiments._COUNTS]
+        assert sorted(sources) == sorted(names)
+        assert len(set(sources)) == len(sources)
+        for mean, se in experiments._MEANS:
+            assert names.index(se) == names.index(mean) + 1, se
+        assert [mean for mean, _ in experiments._MEANS] == [name for name in names if name in dict(experiments._MEANS)]
+
+    def test_summary_csv_header(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        write_summary_csv(run_topk_experiment(_base_cfg()), path)
+        assert path.read_text().splitlines()[0].split(",") == [
+            "x_value", "n", "alpha", "beta",
+            "mean_half_hamming", "se_half_hamming",
+            "mean_lower_bound", "se_lower_bound",
+            "mean_upper_bound", "se_upper_bound",
+            "exp_lower_bound", "se_exp_lower_bound",
+            "exp_upper_bound", "se_exp_upper_bound",
+            "theory_lower",
+            "exact_recovery_rate", "se_exact_recovery",
+            "jaccard_degree", "se_jaccard_degree",
+            "jaccard_evec", "se_jaccard_evec",
+            "n_graphs", "n_draws", "n_excluded", "n_disconnected",
+        ]  # fmt: skip
+
+    def test_localization_csv_header(self, tmp_path):
+        path = tmp_path / "loc.csv"
+        write_summary_csv(run_localization([30], reps=3, seed_root=1), path)
+        assert path.read_text().splitlines()[0].split(",") == [
+            "n", "reps_used",
+            "x_h_mean", "x_h_se", "x_h_q10", "x_h_q50", "x_h_q90",
+            "m_out_mean", "m_out_se", "m_out_q10", "m_out_q50", "m_out_q90",
+            "gap_mean", "gap_se", "gap_q10", "gap_q50", "gap_q90",
+            "n_excluded", "n_hub_ties",
+        ]  # fmt: skip
 
 
 class TestWriters:
