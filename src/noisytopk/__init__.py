@@ -9,13 +9,12 @@ Carlo harness that reproduces the reference simulations.
 Each module's __all__ declares its public names; the package re-exports them.
 """
 
-from . import bounds, centrality, experiments, graphs, noise
+from . import bounds, centrality, experiments, graphs
 from .bounds import *
 from .centrality import *
 from .experiments import *
 from .graphs import *
-from .noise import *
 
 __version__ = "0.1.0"
 
-__all__ = graphs.__all__ + noise.__all__ + centrality.__all__ + bounds.__all__ + experiments.__all__
+__all__ = graphs.__all__ + centrality.__all__ + bounds.__all__ + experiments.__all__

@@ -17,8 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .centrality import SpectralPair, TopKSet, _scores
-from .graphs import _integers
-from .noise import NoiseParams
+from .graphs import NoiseParams, _integers
 
 __all__ = [
     "DegreeMoments",

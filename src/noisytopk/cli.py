@@ -40,8 +40,7 @@ from .experiments import (
     write_json_mirror,
     write_summary_csv,
 )
-from .graphs import STREAM_VERSION, load_edge_list, save_edge_list
-from .noise import NoiseParams, apply_noise
+from .graphs import STREAM_VERSION, NoiseParams, apply_noise, load_edge_list, save_edge_list
 
 EXIT_OK = 0
 EXIT_USAGE = 2

@@ -25,8 +25,8 @@ from scipy.sparse.csgraph import connected_components
 
 from .bounds import er_expected_hamming_lower_bound, hamming_bounds_realization
 from .centrality import hamming, jaccard, leading_eigenvector, top_k
-from .graphs import Graph, PaParams, generate_er, generate_pa, generate_small_world
-from .noise import NoiseParams, apply_noise, noisy_degree_array
+from .graphs import (Graph, NoiseParams, PaParams, apply_noise, generate_er, generate_pa, generate_small_world,
+                     noisy_degree_array)
 
 __all__ = [
     "MODELS",

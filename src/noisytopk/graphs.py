@@ -1,9 +1,20 @@
-"""Random graph generators and the shared immutable graph container.
+"""Random graph generators, edge-flip noise and the shared immutable graph container.
 
 Graphs are simple and undirected, nodes are 0..n-1, and edges are stored
 once in canonical form: an (m, 2) int64 array with edges[:, 0] < edges[:, 1]
 and rows sorted lexicographically.  All generators are pure functions of
 their parameters and an explicit integer seed.
+
+An observed graph Y is derived from a latent graph A by flipping each
+node pair independently: an absent pair appears with probability alpha,
+a present edge disappears with probability beta.  One skip sampler draws
+the flips, over the present edges and over the absent pairs, so a draw
+costs time and memory in proportion to the edges of A and Y rather than to
+the n(n-1)/2 pairs; generate_er is the flips of the empty graph.
+Realizations are reproducible bit-for-bit for a fixed seed, each consumer
+on a stream of its own (see STREAM_VERSION).  Where only degrees are read,
+noisy_degree_array counts the endpoints of the same flips without building
+Y and is bit-identical to apply_noise(a, params, seed).degree_array().
 """
 
 from __future__ import annotations
@@ -25,6 +36,9 @@ __all__ = [
     "save_edge_list",
     "load_edge_list",
     "pair_index",
+    "NoiseParams",
+    "apply_noise",
+    "noisy_degree_array",
 ]
 
 
@@ -111,14 +125,14 @@ class Graph:
         if np.any(e[:, 0] == e[:, 1]):
             raise ValueError("self-loops are not allowed")
         lo, hi = np.minimum(e[:, 0], e[:, 1]), np.maximum(e[:, 0], e[:, 1])
-        lin = pair_index(self.n, lo, hi)
-        order = np.argsort(lin, kind="stable")
-        lin = lin[order]
+        lin = np.sort(pair_index(self.n, lo, hi))
         if np.any(np.diff(lin) == 0):
             raise ValueError("duplicate edges are not allowed")
-        self._freeze(np.column_stack([lo[order], hi[order]]), lin)
+        self._freeze(lin)
 
-    def _freeze(self, edges: np.ndarray, lin: np.ndarray) -> None:
+    def _freeze(self, lin: np.ndarray) -> None:
+        """Store the sorted linear pair indices lin and the edge array decoded from them, both read-only."""
+        edges = _edges_from_sorted(self.n, lin)
         edges.flags.writeable = False
         lin.flags.writeable = False
         object.__setattr__(self, "edges", edges)
@@ -178,12 +192,11 @@ class Graph:
         return np.sort(np.concatenate([e[e[:, 0] == i, 1], e[e[:, 1] == i, 0]]))
 
     @classmethod
-    def _from_canonical(cls, n: int, edges: np.ndarray, lin: np.ndarray) -> "Graph":
-        # fast path for generators: caller guarantees canonical form and
-        # passes the matching sorted linear indices
+    def _from_sorted(cls, n: int, lin: np.ndarray) -> "Graph":
+        """The graph of the strictly increasing int64 linear pair indices lin, which the caller vouches for."""
         g = object.__new__(cls)
         object.__setattr__(g, "n", n)
-        g._freeze(np.ascontiguousarray(edges, dtype=np.int64).reshape(-1, 2), lin)
+        g._freeze(lin)
         return g
 
 
@@ -266,7 +279,32 @@ def _flip_pairs(a: Graph, alpha: float, beta: float, rng: np.random.Generator) -
     deleted, added = _flip_picks(a, alpha, beta, rng)
     # a stable sort is timsort, which finds the two sorted runs and merges them in linear time
     lin = np.sort(np.concatenate([np.delete(a.edge_linear_indices(), deleted), added]), kind="stable")
-    return Graph._from_canonical(a.n, _edges_from_sorted(a.n, lin), lin)
+    return Graph._from_sorted(a.n, lin)
+
+
+@dataclass(frozen=True)
+class NoiseParams:
+    """Flip probabilities: alpha adds absent pairs, beta deletes present edges."""
+
+    alpha: float
+    beta: float
+
+    def __post_init__(self):
+        if not 0.0 <= self.alpha <= 1.0:
+            raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
+        if not 0.0 <= self.beta <= 1.0:
+            raise ValueError(f"beta must lie in [0, 1], got {self.beta}")
+
+
+def apply_noise(a: Graph, params: NoiseParams, seed: int) -> Graph:
+    """One noisy observation of the latent graph a; with alpha = beta = 0 the output equals a exactly."""
+    return _flip_pairs(a, params.alpha, params.beta, _stream_rng(seed, "noise"))
+
+
+def noisy_degree_array(a: Graph, params: NoiseParams, seed: int) -> np.ndarray:
+    """The degrees of apply_noise(a, params, seed), from its flips alone: no noisy Graph is built."""
+    deleted, added = _flip_picks(a, params.alpha, params.beta, _stream_rng(seed, "noise"))
+    return a.degree_array() + _endpoint_counts(a.n, added) - _endpoint_counts(a.n, a.edge_linear_indices()[deleted])
 
 
 def generate_pa(params: PaParams, seed: int) -> Graph:

@@ -70,7 +70,7 @@ def exact_noise_distribution(a: Graph, params: NoiseParams) -> Iterator[tuple[Gr
 
     for o in range(total):
         idx = np.flatnonzero((o >> np.arange(n_pairs, dtype=np.int64)) & 1)
-        yield Graph._from_canonical(n, np.column_stack(pair_from_index(n, idx)), idx), float(probs[o])
+        yield Graph._from_sorted(n, idx), float(probs[o])
 
 
 def geometric_skip_positions(rng: np.random.Generator, size: int, q: float) -> np.ndarray:

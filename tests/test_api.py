@@ -15,9 +15,9 @@ from pathlib import Path
 import pytest
 
 import noisytopk
-from noisytopk import bounds, centrality, experiments, graphs, noise
+from noisytopk import bounds, centrality, experiments, graphs
 
-MODULES = (graphs, noise, centrality, bounds, experiments)
+MODULES = (graphs, centrality, bounds, experiments)
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "noisytopk").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
 
@@ -84,6 +84,27 @@ def test_bounds_module_takes_numbers_not_graphs():
     }
     assert "Graph" not in imported
     assert "spectral_top2" not in imported | set(_references(tree))
+
+
+SAMPLER_INTERNALS = {
+    "_skip_positions",
+    "_flip_picks",
+    "_flip_pairs",
+    "_endpoint_counts",
+    "_edges_from_sorted",
+    "_absent_linear_indices",
+}
+
+
+def test_only_graphs_reads_the_sampler_internals():
+    # the edge-flip model has one home; other modules call its public functions
+    readers = {}
+    for path in sorted((ROOT / "src" / "noisytopk").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+        if path.name != "graphs.py" and (used := sorted(SAMPLER_INTERNALS & (imported | set(_references(tree))))):
+            readers[path.name] = used
+    assert readers == {}
 
 
 def test_source_fits_the_line_budget():

@@ -215,6 +215,13 @@ class TestLeadingEigenvector:
         assert lam == pytest.approx(math.sqrt(2), abs=1e-8)
         assert x[1] == pytest.approx(1 / math.sqrt(2), abs=1e-6)
 
+    def test_two_nodes_take_the_dense_solve(self):
+        k2 = _graph(2, [[0, 1]])
+        lam, x, converged = leading_eigenvector(k2, tol=1e-10, max_iter=10000)
+        assert converged
+        assert lam == pytest.approx(np.linalg.eigvalsh(k2.adjacency_csr().toarray())[-1], abs=1e-12)
+        assert np.allclose(x, 1 / math.sqrt(2), atol=1e-12)
+
     def test_connected_graph_entries_positive(self):
         g = generate_er(30, 0.4, seed=5)
         lam, x, converged = leading_eigenvector(g, tol=1e-10, max_iter=10000)
@@ -264,6 +271,21 @@ class TestSpectralTop2:
         pair = spectral_top2(_graph(4, []), tol=1e-10, max_iter=100)
         assert pair.lambda1 == pytest.approx(0.0, abs=1e-12)
         assert pair.degenerate
+
+    @pytest.mark.parametrize(
+        "n, edges, disconnected",
+        [(2, [[0, 1]], False), (3, [[0, 1], [1, 2]], False), (3, [[0, 1]], True)],
+        ids=["K2", "P3", "K2+isolated"],
+    )
+    def test_at_most_three_nodes_take_the_dense_solve(self, n, edges, disconnected):
+        g = _graph(n, edges)
+        pair = spectral_top2(g, tol=1e-10, max_iter=10000)
+        ref = np.linalg.eigvalsh(g.adjacency_csr().toarray())
+        assert pair.converged
+        assert pair.iterations == 0
+        assert pair.lambda1 == pytest.approx(ref[-1], abs=1e-12)
+        assert pair.lambda2 == pytest.approx(ref[-2], abs=1e-12)
+        assert pair.disconnected == disconnected
 
     def test_disconnected_diagnostic(self):
         g = _graph(6, [[0, 1], [1, 2], [0, 2], [3, 4]])

@@ -323,13 +323,14 @@ class TestBounds:
     def test_exhausted_solver_budget_is_runtime_error(self, tmp_path, capsys):
         src = _write_graph(tmp_path, n=200, p=0.25)
         dst = tmp_path / "report.json"
-        code = main(
-            ["bounds", "--in", str(src), "--k", "3", "--alpha", "0.05", "--beta", "0.05",
-             "--max-iter", "1", "--out", str(dst)]
-        )
-        assert code == 3
-        assert "residual" in capsys.readouterr().err
-        assert not dst.exists()
+        for command in (
+            ["bounds", "--in", str(src), "--k", "3", "--alpha", "0.05", "--beta", "0.05"],
+            ["centrality", "--in", str(src), "--kind", "both"],
+        ):
+            code = main([*command, "--max-iter", "1", "--out", str(dst)])
+            assert code == 3
+            assert "residual" in capsys.readouterr().err
+            assert not dst.exists()
 
 
 class TestExperiment:

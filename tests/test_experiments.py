@@ -285,7 +285,7 @@ class TestRunTopkExperiment:
         monkeypatch.setattr(experiments.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         cfg = _base_cfg()  # two cells of two graphs: four jobs
         serial = run_topk_experiment(cfg, threads=1)
-        assert run_topk_experiment(cfg, threads=64) == serial
+        assert repr(run_topk_experiment(cfg, threads=64)) == repr(serial)  # repr: nan columns compare too
         assert asked == [4]
         assert run_topk_experiment(_base_cfg(n_grid=(20,), graphs_per_point=1), threads=64)
         assert asked == [4]  # one job runs without a pool
@@ -314,9 +314,9 @@ class TestRunTopkExperiment:
     def test_seed_root_changes_results(self):
         rows_a = run_topk_experiment(_base_cfg(seed_root=1))
         rows_b = run_topk_experiment(_base_cfg(seed_root=2))
-        assert rows_a != rows_b
+        assert repr(rows_a) != repr(rows_b)  # repr: nan columns compare too
         rows_a2 = run_topk_experiment(_base_cfg(seed_root=1))
-        assert rows_a == rows_a2
+        assert repr(rows_a) == repr(rows_a2)
 
 
 def _evec_cfg(**over):
@@ -382,6 +382,26 @@ class TestAggregateCell:
         assert math.isnan(row.jaccard_evec)
         assert math.isnan(row.se_jaccard_evec)
         assert math.isfinite(row.jaccard_degree)
+
+    def test_disconnected_noisy_graphs_are_counted(self, monkeypatch):
+        real, components = experiments.connected_components, []
+
+        def record(*args, **kwargs):
+            result = real(*args, **kwargs)
+            components.append(result[0])
+            return result
+
+        monkeypatch.setattr(experiments, "connected_components", record)
+        cfg = _evec_cfg(
+            model_params={"n": 40, "p": 0.08},
+            graphs_per_point=2,
+            noise_draws_per_graph=5,
+            seed_root=3,
+            noise_grid=(NoiseParams(0.0, 0.3),),
+        )
+        row = run_topk_experiment(cfg)[0]
+        assert len(components) == 10
+        assert row.n_disconnected == sum(c > 1 for c in components) > 0
 
     def test_one_graph_per_point_has_no_standard_errors(self):
         row = run_topk_experiment(_evec_cfg(graphs_per_point=1))[0]
