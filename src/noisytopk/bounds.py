@@ -235,10 +235,13 @@ def default_i_star(degrees, k: int, params: NoiseParams) -> int:
     """
     d_sorted, contraction, mom = _ranked(degrees, k, params)
     n = d_sorted.size
-    degree, sigma = d_sorted.tolist(), mom.sigma.tolist()
-    for i in range(k + 1, n - 1):
-        need = 2.0 * math.sqrt(2.0 * math.log(n - i + 1)) * sigma[i - 1] / contraction
-        if degree[k - 1] - degree[i - 1] >= need:
+    ranks, sigma = np.arange(k + 1, n - 1), mom.sigma
+    gap = d_sorted[k - 1] - d_sorted[ranks - 1]
+    rough = 2.0 * np.sqrt(2.0 * np.log(n - ranks + 1)) * sigma[ranks - 1] / contraction
+    # np.log may differ from math.log in the last bit: screen with slack, then decide with math
+    for i in ranks[gap >= rough * (1.0 - 1e-9)].tolist():
+        need = 2.0 * math.sqrt(2.0 * math.log(n - i + 1)) * float(sigma[i - 1]) / contraction
+        if int(d_sorted[k - 1] - d_sorted[i - 1]) >= need:
             return i
     return k + 1
 

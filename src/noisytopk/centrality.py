@@ -4,7 +4,8 @@ Scores are plain 1-d arrays (int64 degrees or a float eigenvector).
 Eigenvector centrality comes from one ARPACK Lanczos solve (scipy's eigsh)
 for the algebraically largest eigenvalues, so bipartite spectra (lambda_min
 equal to -lambda_1, e.g. trees) need no shift and the second eigenvalue is
-the algebraic one rather than the most negative.
+the algebraic one rather than the most negative.  scipy is imported on the
+first eigensolve or component count, so degree-only work never loads it.
 """
 
 from __future__ import annotations
@@ -12,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .graphs import Graph, _check_seed, _stream_rng
 
@@ -95,6 +94,8 @@ def _top_eigenpairs(adj, k: int, tol: float, max_iter: int):
     exhausts its budget, |v0| and its (nonnegative) Rayleigh quotient stand
     in, with converged False.
     """
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+
     n = adj.shape[0]
     if adj.nnz == 0:
         # ARPACK rejects the zero operator; every unit vector is an eigenvector
@@ -126,6 +127,17 @@ def _top_eigenpairs(adj, k: int, tol: float, max_iter: int):
     vecs[:, 0] = x
     residual = float(np.max(np.linalg.norm(adj @ vecs - vecs * vals, axis=0)))
     return vals, x, converged, matvecs, residual
+
+
+def connected_components(adj) -> tuple[int, np.ndarray]:
+    """scipy's (count, labels) of the connected components of a symmetric adjacency matrix.
+
+    For a symmetric matrix the strong components are the connected components, and scipy
+    finds them without the transpose that directed=False builds.
+    """
+    from scipy.sparse import csgraph
+
+    return csgraph.connected_components(adj, directed=True, connection="strong")
 
 
 def leading_eigenvector(
@@ -162,7 +174,7 @@ def spectral_top2(g: Graph, tol: float = 1e-10, max_iter: int = 10000) -> Spectr
     if n < 2:
         raise ValueError(f"need at least two nodes, got n={n}")
     adj = g.adjacency_csr()
-    n_comp, _ = connected_components(adj, directed=False)
+    n_comp, _ = connected_components(adj)
     vals, x, converged, matvecs, residual = _top_eigenpairs(adj, 2, tol, max_iter)
     lam1, lam2 = float(vals[0]), float(vals[1])
     return SpectralPair(

@@ -21,10 +21,9 @@ from dataclasses import asdict, dataclass, is_dataclass
 from functools import partial
 
 import numpy as np
-from scipy.sparse.csgraph import connected_components
 
 from .bounds import er_expected_hamming_lower_bound, hamming_bounds_realization
-from .centrality import hamming, jaccard, leading_eigenvector, top_k
+from .centrality import connected_components, hamming, jaccard, leading_eigenvector, top_k
 from .graphs import (Graph, NoiseParams, PaParams, apply_noise, generate_er, generate_pa, generate_small_world,
                      noisy_degree_array)
 
@@ -303,7 +302,7 @@ def _run_one_graph(cfg: ExperimentConfig, cell_idx: int, n: int, noise: NoisePar
         out_at_least += hb.out_at_least
 
         if want_evec:
-            n_comp, _ = connected_components(y.adjacency_csr(), directed=False)
+            n_comp, _ = connected_components(y.adjacency_csr())
             if n_comp > 1:
                 n_disconnected += 1
             _, xy, oky = leading_eigenvector(y)

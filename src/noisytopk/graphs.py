@@ -22,10 +22,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import NoReturn
+from typing import TYPE_CHECKING, NoReturn
 
 import numpy as np
-from scipy import sparse
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 __all__ = [
     "Graph",
@@ -175,10 +177,15 @@ class Graph:
     def adjacency_csr(self) -> sparse.csr_matrix:
         """Symmetric adjacency matrix in CSR form (float64; built on the first call, read-only)."""
         if (adj := self.__dict__.get("_adj")) is None:
-            rows = np.concatenate([self.edges[:, 0], self.edges[:, 1]])
-            cols = np.concatenate([self.edges[:, 1], self.edges[:, 0]])
-            data = np.ones(2 * self.num_edges, dtype=np.float64)
-            adj = sparse.csr_matrix((data, (rows, cols)), shape=(self.n, self.n))
+            from scipy import sparse  # on first use: the degree, noise and I/O paths never load scipy
+
+            # the sorted pair indices are the upper triangle in CSR order already: no COO sort
+            indptr = np.zeros(self.n + 1, dtype=np.int32)
+            np.cumsum(_row_counts(self.n, self._lin)[0], out=indptr[1:])
+            upper = sparse.csr_matrix(
+                (np.ones(self.num_edges), self.edges[:, 1].astype(np.int32), indptr), shape=(self.n, self.n)
+            )
+            adj = upper + upper.T
             for arr in (adj.data, adj.indices, adj.indptr):
                 arr.flags.writeable = False
             object.__setattr__(self, "_adj", adj)
@@ -409,7 +416,11 @@ def save_edge_list(g: Graph, path) -> None:
     """Write g as a text edge list: header line '# n=<N>', then 'u v' rows, u < v."""
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"# n={g.n}\n")
-        np.savetxt(fh, g.edges, fmt="%d")
+        # the bytes of np.savetxt(fh, g.edges, fmt="%d") from one formatting call per 2**16 rows, not one
+        # per row; the blocks bound the Python ints and the text held at once
+        for start in range(0, g.num_edges, 1 << 16):
+            block = g.edges[start : start + (1 << 16)].ravel().tolist()
+            fh.write(("%d %d\n" * (len(block) // 2)) % tuple(block))
 
 
 def load_edge_list(path) -> Graph:

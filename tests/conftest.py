@@ -2,9 +2,10 @@
 
 The dense eigensolver, the dense per-pair noise sampler, the skip sampler
 on numpy's geometric, the cumulative-sum preferential attachment loop, the
-exact noise enumeration and its statistics, the pair-index decoder, and the
-quadrature normal CDF are independent reference implementations; library
-code must match them, never the other way around.
+exact noise enumeration and its statistics, the pair-index decoder, the
+COO adjacency build, the rank-by-rank i_star scan and the quadrature normal
+CDF are independent reference implementations; library code must match
+them, never the other way around.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ from typing import Iterator
 import numpy as np
 import scipy.integrate
 import scipy.linalg
+from hypothesis import strategies as st
+from scipy import sparse
 
 from noisytopk import (
     Graph,
@@ -22,6 +25,7 @@ from noisytopk import (
     PaParams,
     hamming_bounds_realization,
 )
+from noisytopk.bounds import _ranked
 from noisytopk.graphs import _stream_rng
 
 # exact enumeration is exponential in the pair count; keep it to toy sizes
@@ -227,3 +231,35 @@ def hill_tail_exponent(degrees_sorted_desc, top_fraction: float = 0.05) -> float
     ratios = np.log(d[:m] / cutoff)
     gamma = float(ratios.mean())
     return 1.0 + 1.0 / gamma
+
+
+def coo_adjacency(g: Graph) -> sparse.csr_matrix:
+    """The symmetric CSR adjacency of g built from both orientations of every edge in COO form."""
+    rows = np.concatenate([g.edges[:, 0], g.edges[:, 1]])
+    cols = np.concatenate([g.edges[:, 1], g.edges[:, 0]])
+    return sparse.csr_matrix((np.ones(2 * g.num_edges), (rows, cols)), shape=(g.n, g.n))
+
+
+@st.composite
+def graphs_with_isolated_nodes(draw):
+    """Graphs on 1..40 nodes: edgeless, a complete graph on some of the nodes, or random pairs."""
+    n = draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(["edgeless", "complete", "random"]))
+    if kind == "complete":
+        u, v = np.triu_indices(draw(st.integers(1, n)), k=1)
+        return Graph(n, np.column_stack([u, v]))
+    n_pairs = n * (n - 1) // 2
+    lin = draw(st.sets(st.integers(0, n_pairs - 1), max_size=80)) if kind == "random" and n_pairs else set()
+    return Graph(n, np.column_stack(pair_from_index(n, np.array(sorted(lin), dtype=np.int64))).reshape(-1, 2))
+
+
+def default_i_star_scan(degrees, k: int, params: NoiseParams) -> int:
+    """bounds.default_i_star as a scan of the ranks k+1..n-2 in increasing order with math.log."""
+    d_sorted, contraction, mom = _ranked(degrees, k, params)
+    n = d_sorted.size
+    degree, sigma = d_sorted.tolist(), mom.sigma.tolist()
+    for i in range(k + 1, n - 1):
+        need = 2.0 * math.sqrt(2.0 * math.log(n - i + 1)) * sigma[i - 1] / contraction
+        if degree[k - 1] - degree[i - 1] >= need:
+            return i
+    return k + 1

@@ -35,7 +35,7 @@ from noisytopk import (
 )
 from noisytopk import Graph, apply_noise, json_text, save_edge_list
 from noisytopk.cli import main
-from conftest import normal_cdf_quadrature
+from conftest import default_i_star_scan, normal_cdf_quadrature
 
 
 def _graph(n, edges):
@@ -247,6 +247,18 @@ class TestDefaultIStar:
         mom = noisy_degree_moments(d=int(dsorted[i_star - 1]), n=40, params=params)
         need = 2 * math.sqrt(2 * math.log(40 - i_star + 1)) * mom.sigma / 0.9
         assert dsorted[2] - dsorted[i_star - 1] >= need
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_equals_the_rank_by_rank_scan(self, data):
+        n = data.draw(st.integers(2, 200))
+        # flat degrees give ties and the fallback, a wide range large gaps; zero rates make sigma 0
+        top = min(data.draw(st.sampled_from([0, 1, 3, n - 1])), n - 1)
+        degrees = np.array(data.draw(st.lists(st.integers(0, top), min_size=n, max_size=n)), dtype=np.int64)
+        rates = st.sampled_from([0.0, 1e-4, 0.01, 0.1]) | st.floats(0.0, 0.45)
+        params = NoiseParams(data.draw(rates), data.draw(rates))
+        k = data.draw(st.integers(1, n - 1))
+        assert default_i_star(degrees, k, params) == default_i_star_scan(degrees, k, params)
 
 
 def _degree_reports(k, i_star, params):

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from scipy.sparse import csgraph
 
+from noisytopk import centrality
 from noisytopk import (
     Graph,
     SpectralPair,
@@ -14,7 +17,7 @@ from noisytopk import (
     spectral_top2,
     top_k,
 )
-from conftest import dense_top2, random_edges
+from conftest import dense_top2, graphs_with_isolated_nodes, random_edges
 
 
 def _graph(n, edges):
@@ -316,3 +319,15 @@ class TestSpectralTop2:
         g = generate_er(20, 0.3, seed=77)
         pair = spectral_top2(g, tol=1e-10, max_iter=10000)
         assert pair.x[np.argmax(np.abs(pair.x))] > 0
+
+
+class TestConnectedComponents:
+    @settings(max_examples=200, deadline=None)
+    @given(g=graphs_with_isolated_nodes())
+    def test_match_the_undirected_count_and_partition(self, g):
+        adj = g.adjacency_csr()
+        count, labels = centrality.connected_components(adj)
+        ref_count, ref_labels = csgraph.connected_components(adj, directed=False)
+        assert count == ref_count
+        # equal partitions: each label pairs with exactly one reference label
+        assert len(set(zip(labels.tolist(), ref_labels.tolist()))) == count == len(set(labels.tolist()))

@@ -4,6 +4,8 @@ import csv
 import importlib.util
 import json
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -27,6 +29,45 @@ def _write_graph(tmp_path, name="g.txt", n=30, p=0.3, seed=1):
     )
     assert code == 0
     return path
+
+
+# Runs in a fresh interpreter: after each step, is scipy.sparse loaded (and did the command succeed)?
+_COLD_START = """
+import json, sys
+from pathlib import Path
+d = Path(sys.argv[1])
+steps = []
+def step(name, code=0):
+    steps.append([name, code, "scipy.sparse" in sys.modules])
+import noisytopk, noisytopk.cli
+from noisytopk.cli import main
+step("import")
+step("generate", main(["generate", "er", "--n", "30", "--p", "0.3", "--out", str(d / "g.txt"), "--quiet"]))
+step("perturb", main(["perturb", "--in", str(d / "g.txt"), "--alpha", "0.1", "--beta", "0.1",
+                      "--out", str(d / "y.txt"), "--quiet"]))
+(d / "cfg.ini").write_text("[run]\\ntype = topk\\n[model]\\nkind = er\\nn = 20\\np = 0.3\\n[noise]\\n"
+                          "alpha_grid = 0.05\\nbeta_grid = 0.05\\n[mc]\\nk = 3\\ngraphs = 2\\ndraws = 2\\n"
+                          "centrality = degree\\n")
+step("experiment", main(["experiment", str(d / "cfg.ini"), "--out", str(d / "res"), "--threads", "1", "--quiet"]))
+step("centrality", main(["centrality", "--in", str(d / "g.txt"), "--kind", "eigenvector", "--k", "3",
+                         "--out", str(d / "c.txt"), "--quiet"]))
+print(json.dumps(steps))
+"""
+
+
+class TestColdStart:
+    def test_scipy_loads_only_for_the_eigensolve(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        done = subprocess.run([sys.executable, "-c", _COLD_START, str(tmp_path)],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout.splitlines()[-1]) == [
+            ["import", 0, False],
+            ["generate", 0, False],
+            ["perturb", 0, False],
+            ["experiment", 0, False],
+            ["centrality", 0, True],
+        ]
 
 
 class TestTopLevel:

@@ -1,3 +1,4 @@
+import io
 import math
 import time
 import warnings
@@ -19,7 +20,7 @@ from noisytopk import (
     save_edge_list,
 )
 from noisytopk import experiments
-from conftest import dense_pa, hill_tail_exponent, pair_from_index
+from conftest import coo_adjacency, dense_pa, graphs_with_isolated_nodes, hill_tail_exponent, pair_from_index
 
 
 def _graph(n, edges):
@@ -141,6 +142,14 @@ class TestGraphType:
         assert g.adjacency_csr() is adj
         with pytest.raises(ValueError):
             adj.data[0] = 5.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(g=graphs_with_isolated_nodes())
+    def test_adjacency_equals_the_coo_build(self, g):
+        adj, ref = g.adjacency_csr(), coo_adjacency(g)
+        assert adj.format == "csr" and adj.shape == ref.shape and adj.has_canonical_format
+        for got, want in ((adj.indptr, ref.indptr), (adj.indices, ref.indices), (adj.data, ref.data)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
 
     def test_empty_graph(self):
         g = _graph(3, [])
@@ -334,6 +343,24 @@ class TestEdgeListIO:
         lines = path.read_text().splitlines()
         assert lines[0] == "# n=4"
         assert lines[1:] == ["0 2", "1 3"]
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            _graph(5, []),
+            _graph(2, [[0, 1]]),
+            generate_er(300, 0.5, seed=3),
+            generate_er(400, 0.9, seed=3),
+            _graph(200_001, [[0, 100_000], [7, 123_456], [100_001, 200_000]]),
+        ],
+        ids=["empty", "one-edge", "dense-er", "more-rows-than-one-write", "ids-above-1e5"],
+    )
+    def test_bytes_equal_savetxt(self, tmp_path, g):
+        path = tmp_path / "g.edges"
+        save_edge_list(g, path)
+        ref = io.StringIO()
+        np.savetxt(ref, g.edges, fmt="%d")
+        assert path.read_bytes() == f"# n={g.n}\n{ref.getvalue()}".encode("ascii")
 
     def test_load_rejects_bad_order(self, tmp_path):
         path = tmp_path / "bad.edges"
