@@ -322,10 +322,12 @@ def generate_pa(params: PaParams, seed: int) -> Graph:
     replacement with probability proportional to degree + b, where degrees
     are frozen at the start of step t (edges added within the step do not
     update the weights).  Each draw descends a Fenwick tree of the weights
-    (Fenwick 1994), so a graph costs O(n * m * log n).  For b a multiple of a
-    power of two every partial sum is exact and the realization equals a
-    cumulative-sum scan's; otherwise only a uniform within rounding of a
-    weight boundary can pick another node.
+    (Fenwick 1994), so a graph costs O(n * m * log n).  Every node weighs m + b
+    in it from the start, which is exact: step t reads only slots of nodes
+    below t, all arrived with degree m.  For b a multiple of a power of two
+    every partial sum is exact and the realization equals a cumulative-sum
+    scan's; otherwise a uniform within rounding of a weight boundary can pick
+    another node than a scan or a tree summed in another order would.
 
     Args:
         params: node count n, edges per new node m, attachment offset b > -1.
@@ -336,30 +338,28 @@ def generate_pa(params: PaParams, seed: int) -> Graph:
     """
     n, m, b = params.n, params.m, params.b
     rng = _stream_rng(seed, "pa")
-    # Fenwick slot i sums the weights of nodes i - (i & -i) .. i - 1; at first only the m+1 seed nodes weigh
-    tree = [(m + b) * max(0, min(i, m + 1) - i + (i & -i)) for i in range(n + 1)]
-
-    def add(i: int, w: float) -> None:
-        i += 1
-        while i <= n:
-            tree[i] += w
-            i += i & -i
-
-    total, top, uniforms, targets = (m + 1) * (m + b), 1 << (n.bit_length() - 1), [], []
+    # Fenwick slot i sums the weights of nodes i - (i & -i) .. i - 1, so no arrival updates the tree
+    tree = [(m + b) * (i & -i) for i in range(n + 1)]
+    powers = [1 << e for e in range(n.bit_length() - 1, -1, -1)]
+    total, uniforms, targets = (m + 1) * (m + b), [], []
     for t in range(m + 1, n):
+        levels = powers[len(powers) - t.bit_length() :]  # every higher level would fail k < t
         chosen: list[int] = []
         while len(chosen) < m:  # rejecting repeats samples without replacement
-            uniforms = uniforms or rng.random(4096).tolist()[::-1]
-            x, j, acc, step = uniforms.pop() * total, 0, 0.0, top
-            while step:  # compare exact prefix sums with x (subtracting from x would round); stay below t
+            if not uniforms:
+                uniforms = rng.random(4096).tolist()
+                uniforms.reverse()
+            x, j, acc = uniforms.pop() * total, 0, 0.0
+            for step in levels:  # compare exact prefix sums with x (subtracting from x would round); stay below t
                 if (k := j + step) < t and (s := acc + tree[k]) <= x:
                     j, acc = k, s
-                step >>= 1
             if j not in chosen:
                 chosen.append(j)
-        for j in chosen:
-            add(j, 1.0)
-        add(t, m + b)
+        for k in chosen:
+            k += 1
+            while k <= n:
+                tree[k] += 1.0
+                k += k & -k
         total += 2 * m + b
         targets += chosen
     rest = np.column_stack([np.array(targets, dtype=np.int64), np.repeat(np.arange(m + 1, n), m)])

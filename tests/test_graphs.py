@@ -1,3 +1,4 @@
+import hashlib
 import io
 import math
 import time
@@ -237,8 +238,8 @@ class TestPreferentialAttachment:
     @settings(max_examples=200, deadline=None)
     @given(
         n=st.one_of(st.integers(2, 300), st.sampled_from([2**e + d for e in range(1, 9) for d in (-1, 0, 1)])),
-        m=st.integers(1, 6),
-        b=st.sampled_from([-0.5, 0.0, 0.5, 1.0, 2.25]),
+        m=st.integers(1, 8),
+        b=st.sampled_from([-0.75, -0.5, 0.0, 0.5, 1.0, 2.25, 3.5]),
         seed=st.integers(0, 2**63 - 1),
     )
     def test_matches_cumsum_oracle(self, n, m, b, seed):
@@ -249,6 +250,26 @@ class TestPreferentialAttachment:
     def test_matches_cumsum_oracle_at_ten_thousand_nodes(self, seed):
         params = PaParams(n=10_000, m=5, b=1.0)
         assert np.array_equal(generate_pa(params, seed).edges, dense_pa(params, seed).edges)
+
+    # SHA-256 of the little-endian edge bytes of stream version 2, on which criterion 7 and every bundled
+    # output depend, pinned without the oracle (the first is criterion 7's first n=2000 tree, seed
+    # derive_seed(97001, 1, 3, 0); n=2000, m=3 and n=10**4, m=5 are the benchmark's sizes)
+    @pytest.mark.parametrize(
+        "n, m, b, seed, digest",
+        [
+            (2000, 1, 1.0, 5259533341410379210, "6ce1e3dbb6f5f130892d63dde835920917eafab321f07584ef2ea260b489458c"),
+            (2000, 1, 1.0, 0, "00a67de62e99ce688abdd79bb9b6a15cbdbe0c1af06d08250930631d7d2a265f"),
+            (2000, 3, 1.0, 0, "3201fe691038c3a768eea3b4830c58e75acb7f84a12f35bb39095cef1cb39d89"),
+            (10_000, 5, 1.0, 0, "8875dcbc5b8dde52fd49b4c200c219b1261afe06c0cb57456a1f11d926262876"),
+            (257, 2, 0.5, 3, "773b13c25b40e45b9836e6a776f41e8df2310860613ca18911d8a1da968e5408"),
+            (300, 2, 0.5, 3, "f6c5cb67a10cf869f8f5c6910bb617462ae51acde9798fd6002d65368f4d025c"),
+            (257, 2, -0.5, 3, "bf605b47ce81997cf15d0239dc4e32298e7c77868bf9b4fba49cd971a6443996"),
+            (300, 2, -0.5, 3, "b1b4de8b625641ba1c0d702c984f331b26d75365ee6ff2c9bd0240e7da78acb7"),
+        ],
+    )
+    def test_stream_is_pinned(self, n, m, b, seed, digest):
+        edges = generate_pa(PaParams(n=n, m=m, b=b), seed).edges
+        assert hashlib.sha256(edges.astype("<i8").tobytes()).hexdigest() == digest
 
     def test_hundred_thousand_nodes_is_fast(self):
         # a cumulative-sum scan per arrival is O(n**2): about 45 s at this size on a 2-core x86 VM
