@@ -374,28 +374,32 @@ def hamming_bounds_realization(true_topk: TopKSet, noisy_scores) -> HammingBound
     scoring strictly above t are certainly let in, which gives the lower
     bound; the upper bound counts every member / outsider that could
     possibly cross.  Both counts hold for every tie-break of the noisy
-    top-k selection.
+    top-k selection.  A 2-d block of score rows gives every field as an
+    array over its rows; a 1-d vector is the one-row block.
     """
-    s = _scores(noisy_scores)
-    n, k = s.size, true_topk.k
+    s = np.asarray(noisy_scores)
+    block = _scores(s, ndim=2) if s.ndim == 2 else _scores(s)[None, :]
+    n, k = block.shape[1], true_topk.k
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
     members = np.fromiter(true_topk.members, dtype=np.int64, count=k)
     if (stray := members[(members < 0) | (members >= n)]).size:
         raise ValueError(f"top-k member {int(stray.min())} is not a node id in range({n})")
 
-    t = np.partition(s, n - k - 1)[n - k - 1]  # (k+1)-th largest, compared in the scores' own dtype
-    mask = np.zeros(n, dtype=bool)
-    mask[members] = True
-
-    in_below = int(np.count_nonzero(s[mask] < t))
-    out_above = int(np.count_nonzero(s[~mask] > t))
-    in_at_most = int(np.count_nonzero(s[mask] <= t))
-    out_at_least = int(np.count_nonzero(s[~mask] >= t))
-
-    lower = 2 * max(in_below, out_above)
-    upper = 2 * min(in_at_most, out_at_least)
-    return HammingBoundsRealization(lower, upper, float(t), in_below, in_at_most, out_above, out_at_least)
+    t = np.partition(block, n - k - 1, axis=1)[:, n - k - 1, None]  # (k+1)-th largest, in the scores' own dtype
+    inside = block[:, members]
+    in_below, in_above = np.count_nonzero(inside < t, axis=1), np.count_nonzero(inside > t, axis=1)
+    # the outsiders' counts are the whole row's minus the members'
+    out_above = np.count_nonzero(block > t, axis=1) - in_above
+    out_at_least = n - k - (np.count_nonzero(block < t, axis=1) - in_below)
+    in_at_most = k - in_above
+    lower = 2 * np.maximum(in_below, out_above)
+    upper = 2 * np.minimum(in_at_most, out_at_least)
+    rows = HammingBoundsRealization(lower, upper, t[:, 0], in_below, in_at_most, out_above, out_at_least)
+    if s.ndim == 2:
+        return rows
+    lower, upper, t, *counts = (field[0] for field in rows)
+    return HammingBoundsRealization(int(lower), int(upper), float(t), *map(int, counts))
 
 
 def er_noise_variance_proxy(n: int, p: float, params: NoiseParams) -> float:

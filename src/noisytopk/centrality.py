@@ -30,11 +30,11 @@ __all__ = [
 NEGATIVE_CLAMP = 1e-9
 
 
-def _scores(scores) -> np.ndarray:
-    """scores as an array, checked to be 1-d, non-empty and finite."""
+def _scores(scores, ndim: int = 1) -> np.ndarray:
+    """scores as an array, checked to be ndim-d, non-empty and finite."""
     s = np.asarray(scores)
-    if s.ndim != 1 or s.size == 0 or not np.all(np.isfinite(s)):
-        raise ValueError(f"scores must be a non-empty finite 1-d array, got shape {s.shape}")
+    if s.ndim != ndim or s.size == 0 or not np.all(np.isfinite(s)):
+        raise ValueError(f"scores must be a non-empty finite {ndim}-d array, got shape {s.shape}")
     return s
 
 
@@ -197,21 +197,27 @@ def top_k(scores, k: int, seed: int) -> TopKSet:
     (driven by seed) among the nodes exactly at the cutoff value.
     """
     s = _scores(scores)
-    n = s.size
     _check_seed(seed)
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= {n}, got k={k}")
-    cutoff = np.partition(s, n - k)[n - k]
-    above = np.flatnonzero(s > cutoff)
-    tied = np.flatnonzero(s == cutoff)
-    slots = k - above.size
-    tie_broken = bool(tied.size > 1)
-    if slots == tied.size:
-        chosen = tied
-    else:
-        chosen = _stream_rng(seed, "tiebreak").choice(tied, size=slots, replace=False)
-    members = frozenset(int(i) for i in above) | frozenset(int(i) for i in chosen)
-    return TopKSet(k=k, members=members, tie_broken=tie_broken)
+    if not 1 <= k <= s.size:
+        raise ValueError(f"need 1 <= k <= {s.size}, got k={k}")
+    chosen, tie_broken = _top_k_rows(s[None, :], k, seed)
+    return TopKSet(k=k, members=frozenset(np.flatnonzero(chosen[0]).tolist()), tie_broken=bool(tie_broken[0]))
+
+
+def _top_k_rows(scores: np.ndarray, k: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`top_k` of every row of a 2-d score block: (rows x n membership mask, whether each cutoff is shared).
+
+    Each row whose cutoff ties outnumber its free slots chooses them on a fresh tie-break stream of seed.
+    """
+    n = scores.shape[1]
+    cutoff = np.partition(scores, n - k, axis=1)[:, n - k, None]
+    chosen, tied = scores > cutoff, scores == cutoff
+    slots, n_tied = k - np.count_nonzero(chosen, axis=1), np.count_nonzero(tied, axis=1)
+    for r in np.flatnonzero(n_tied > slots):
+        pick = _stream_rng(seed, "tiebreak").choice(np.flatnonzero(tied[r]), size=int(slots[r]), replace=False)
+        chosen[r, pick] = True
+    np.logical_or(chosen, tied, out=chosen, where=(n_tied == slots)[:, None])  # rows where every tied node fits
+    return chosen, n_tied > 1
 
 
 def hamming(a: TopKSet, b: TopKSet) -> int:

@@ -23,7 +23,7 @@ from functools import partial
 import numpy as np
 
 from .bounds import er_expected_hamming_lower_bound, hamming_bounds_realization
-from .centrality import connected_components, hamming, jaccard, leading_eigenvector, top_k
+from .centrality import TopKSet, _top_k_rows, connected_components, jaccard, leading_eigenvector, top_k
 from .graphs import (Graph, NoiseParams, PaParams, apply_noise, generate_er, generate_pa, generate_small_world,
                      noisy_degree_array)
 
@@ -53,6 +53,9 @@ _GOLDEN = 0x9E3779B97F4A7C15
 STREAM_GRAPH = 1
 STREAM_NOISE = 2
 STREAM_TIEBREAK = 3
+
+# entries of one draws x n block of noisy degrees that a latent graph's draws are scored in
+_BLOCK_ENTRIES = 1 << 20
 
 # each graph model's keys besides n, named as the generator's arguments: key -> (parser, default or ... if required)
 MODELS = {
@@ -263,6 +266,17 @@ def make_graph(model: str, params: dict, n: int, seed: int) -> Graph:
     return generate_small_world(n, values["k_ring"], values["rewire_p"], seed)
 
 
+def _score_block(s_k: TopKSet, block: np.ndarray, tie_seed: int):
+    """(d_H, Jaccard, Hamming sandwich) of each row's top-k against s_k, for a draws x n block of noisy scores."""
+    hits = np.count_nonzero(_top_k_rows(block, s_k.k, tie_seed)[0][:, sorted(s_k.members)], axis=1)
+    dh, hb = 2 * (s_k.k - hits), hamming_bounds_realization(s_k, block)
+    # the sandwich holds deterministically for every draw; a violation is a bug
+    if (bad := np.flatnonzero((hb.lower > dh) | (dh > hb.upper))).size:
+        r = bad[0]
+        raise RuntimeError(f"Hamming sandwich violated: {hb.lower[r]} <= {dh[r]} <= {hb.upper[r]} fails")
+    return dh, hits / (2 * s_k.k - hits), hb
+
+
 def _run_one_graph(cfg: ExperimentConfig, cell_idx: int, n: int, noise: NoiseParams, graph_idx: int) -> dict:
     """All noise draws for one latent graph; returns its value of every _MEANS mean and _COUNTS count."""
     k = cfg.k
@@ -280,28 +294,21 @@ def _run_one_graph(cfg: ExperimentConfig, cell_idx: int, n: int, noise: NoisePar
         if ok:
             s_k_evec = top_k(x, k, tie_seed)
 
-    dh, lower, upper, jac_deg = (np.empty(draws) for _ in range(4))
+    dh, jac_deg = np.empty(draws), np.empty(draws)
+    sandwich = np.empty((6, draws), dtype=np.int64)  # lower, upper and the four counts of every draw
     jac_evec_sum, jac_evec_cnt, n_disconnected = 0.0, 0, 0
-    in_below = in_at_most = out_above = out_at_least = 0
 
-    for r in range(draws):
-        seed = derive_seed(cfg.seed_root, STREAM_NOISE, cell_idx, graph_idx, r)
-        # the eigensolve needs the noisy graph; degree centrality needs only its degrees
-        y = apply_noise(g, noise, seed) if want_evec else None
-        noisy_deg = y.degree_array() if want_evec else noisy_degree_array(g, noise, seed)
-        s_tilde = top_k(noisy_deg, k, tie_seed)
-        d = hamming(s_k, s_tilde)
-        hb = hamming_bounds_realization(s_k, noisy_deg)
-        # the sandwich holds deterministically for every draw; a violation is a bug
-        if not hb.lower <= d <= hb.upper:
-            raise RuntimeError(f"Hamming sandwich violated: {hb.lower} <= {d} <= {hb.upper} fails")
-        dh[r], lower[r], upper[r], jac_deg[r] = d, hb.lower, hb.upper, jaccard(s_k, s_tilde)
-        in_below += hb.in_below
-        in_at_most += hb.in_at_most
-        out_above += hb.out_above
-        out_at_least += hb.out_at_least
-
-        if want_evec:
+    step = max(1, _BLOCK_ENTRIES // n)  # draws per block
+    for first in range(0, draws, step):
+        span = slice(first, min(first + step, draws))
+        block = np.empty((span.stop - first, n), dtype=np.int64)
+        for i, r in enumerate(range(first, span.stop)):
+            seed = derive_seed(cfg.seed_root, STREAM_NOISE, cell_idx, graph_idx, r)
+            if not want_evec:  # degree centrality needs only the noisy degrees
+                block[i] = noisy_degree_array(g, noise, seed)
+                continue
+            y = apply_noise(g, noise, seed)
+            block[i] = y.degree_array()
             n_comp, _ = connected_components(y.adjacency_csr())
             if n_comp > 1:
                 n_disconnected += 1
@@ -310,7 +317,11 @@ def _run_one_graph(cfg: ExperimentConfig, cell_idx: int, n: int, noise: NoisePar
                 s_tilde_evec = top_k(xy, k, tie_seed)
                 jac_evec_sum += jaccard(s_k_evec, s_tilde_evec)
                 jac_evec_cnt += 1
+        dh[span], jac_deg[span], hb = _score_block(s_k, block, tie_seed)
+        sandwich[:, span] = hb[:2] + hb[3:]
 
+    lower, upper = sandwich[:2]  # integers, so their float means are exact in any summation order
+    in_below, in_at_most, out_above, out_at_least = sandwich[2:].sum(axis=1).tolist()
     return {
         "mean_half_hamming": float(dh.mean() / 2.0),
         "mean_lower_bound": float(lower.mean() / 2.0),

@@ -92,7 +92,8 @@ SAMPLER_INTERNALS = {
     "_flip_pairs",
     "_endpoint_counts",
     "_edges_from_sorted",
-    "_absent_linear_indices",
+    "_absent_pairs",
+    "_absent_pair_indices",
 }
 
 

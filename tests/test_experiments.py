@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noisytopk import (
     ExperimentConfig,
@@ -14,14 +16,19 @@ from noisytopk import (
     NoiseSchedule,
     SummaryRow,
     derive_seed,
+    hamming,
+    hamming_bounds_realization,
+    jaccard,
     run_figure1_profile,
     run_localization,
     run_topk_experiment,
     write_figure1_csv,
     write_json_mirror,
     write_summary_csv,
+    top_k,
 )
 from noisytopk import experiments
+from noisytopk.centrality import _top_k_rows
 
 
 class TestDeriveSeed:
@@ -305,6 +312,16 @@ class TestRunTopkExperiment:
         # repr compares every float bit for bit, NaN included
         assert repr(run_topk_experiment(cfg, threads=2)) == repr(run_topk_experiment(cfg, threads=1))
 
+    @pytest.mark.parametrize("centrality", ["degree", "both"])
+    def test_block_size_leaves_the_rows_unchanged(self, monkeypatch, centrality):
+        # 40 nodes: blocks of one draw, of two draws with a shorter last one, and of all five
+        cfg = _base_cfg(noise_draws_per_graph=5, centrality=centrality)
+        rows = {}
+        for entries in (40, 80, 1 << 20):
+            monkeypatch.setattr(experiments, "_BLOCK_ENTRIES", entries)
+            rows[entries] = repr(run_topk_experiment(cfg))  # repr: nan columns compare too
+        assert rows[40] == rows[80] == rows[1 << 20]
+
     def test_pa_params_validated_up_front(self):
         with pytest.raises(ValueError, match="finite"):
             _base_cfg(model="pa", model_params={"m": 2, "b": math.inf})
@@ -317,6 +334,34 @@ class TestRunTopkExperiment:
         assert repr(rows_a) != repr(rows_b)  # repr: nan columns compare too
         rows_a2 = run_topk_experiment(_base_cfg(seed_root=1))
         assert repr(rows_a) == repr(rows_a2)
+
+
+def _score_rows(data, n, rows):
+    """A rows x n block of int scores in 0..3, which tie at the cutoff often, or of floats that sometimes tie."""
+    if data.draw(st.booleans()):
+        elements, dtype = st.integers(0, 3), np.int64
+    else:
+        elements, dtype = st.one_of(st.integers(0, 3).map(float), st.floats(-10.0, 10.0)), np.float64
+    return np.array(data.draw(st.lists(st.lists(elements, min_size=n, max_size=n), min_size=rows, max_size=rows)), dtype)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_scored_block_rows_equal_the_scalar_functions(data):
+    # every row takes its own tie-break, as one top_k call per draw did
+    n = data.draw(st.integers(2, 12))
+    block = _score_rows(data, n, data.draw(st.integers(1, 6)))
+    k = data.draw(st.integers(1, n - 1))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    s_k = top_k(_score_rows(data, n, 1)[0], k, seed)
+    chosen, tie_broken = _top_k_rows(block, k, seed)
+    dh, jac, hb = experiments._score_block(s_k, block, seed)
+    for r, row in enumerate(block):
+        s_tilde = top_k(row, k, seed)
+        assert set(np.flatnonzero(chosen[r]).tolist()) == s_tilde.members
+        assert tie_broken[r] == s_tilde.tie_broken
+        assert (dh[r], jac[r]) == (hamming(s_k, s_tilde), jaccard(s_k, s_tilde))
+        assert tuple(field[r] for field in hb) == hamming_bounds_realization(s_k, row)
 
 
 def _evec_cfg(**over):

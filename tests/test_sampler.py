@@ -26,7 +26,7 @@ from noisytopk import (
     noisy_degree_array,
     pair_index,
 )
-from noisytopk.graphs import _edges_from_sorted, _endpoint_counts, _flip_picks, _skip_positions
+from noisytopk.graphs import _absent_pair_indices, _edges_from_sorted, _endpoint_counts, _flip_picks, _skip_positions
 from conftest import (
     dense_noise,
     edge_set,
@@ -261,17 +261,19 @@ def dense_and_sparse_graphs(draw):
 def test_added_pairs_are_the_absent_pairs_of_the_drawn_ranks(g, alpha, beta, seed):
     lin = g.edge_linear_indices()
     n_pairs, m = g.n * (g.n - 1) // 2, lin.size
-    deleted, added = _flip_picks(g, alpha, beta, np.random.default_rng(seed))
+    deleted, ranks = _flip_picks(g, alpha, beta, np.random.default_rng(seed))
     rng = np.random.default_rng(seed)
     assert np.array_equal(deleted, _skip_positions(rng, m, beta))
-    ranks = _skip_positions(rng, n_pairs - m, alpha)
+    assert np.array_equal(ranks, _skip_positions(rng, n_pairs - m, alpha))
+    added = _absent_pair_indices(g, ranks)
     assert added.dtype == np.int64
-    assert np.array_equal(added, np.setdiff1d(np.arange(n_pairs), lin)[ranks])
-    table = g._absent_linear_indices()
+    absent = np.setdiff1d(np.arange(n_pairs), lin)
+    assert np.array_equal(added, absent[ranks])
+    table = g._absent_pairs()
     assert (table is not None) == (n_pairs - m <= 6 * m)
     if table is not None:
-        assert np.array_equal(table, np.setdiff1d(np.arange(n_pairs), lin))
-        assert table.nbytes <= g.edges.nbytes + lin.nbytes
+        assert np.array_equal(pair_index(g.n, *table), absent)
+        assert sum(col.nbytes for col in table) <= g.edges.nbytes + lin.nbytes
 
 
 def test_dense_graph_builds_its_absent_pair_table_once():
@@ -283,15 +285,16 @@ def test_dense_graph_builds_its_absent_pair_table_once():
     for seed in range(2, 6):
         noisy_degree_array(g, NoiseParams(0.03, 0.05), seed)
         apply_noise(g, NoiseParams(0.01, 0.2), seed)
-        assert g.__dict__["_absent"] is table and g._absent_linear_indices() is table
-    assert table.dtype == np.int32 and not table.flags.writeable
-    with pytest.raises(ValueError):
-        table[0] = 0
-    assert table.nbytes <= g.edges.nbytes + g.edge_linear_indices().nbytes
+        assert g.__dict__["_absent"] is table and g._absent_pairs() is table
+    for col in table:
+        assert col.dtype == np.uint16 and not col.flags.writeable
+        with pytest.raises(ValueError):
+            col[0] = 0
+    assert sum(col.nbytes for col in table) <= g.edges.nbytes + g.edge_linear_indices().nbytes
 
 
 def test_sparse_graph_builds_no_absent_pair_table():
     g = generate_pa(PaParams(10_000, 5, 1.0), seed=3)
     noisy_degree_array(g, NoiseParams(1e-3, 0.05), seed=1)
     assert "_absent" not in g.__dict__
-    assert g._absent_linear_indices() is None
+    assert g._absent_pairs() is None
