@@ -170,12 +170,11 @@ class Graph:
             ids, offsets, per_row = r.astype(np.uint16), (starts - r - 1).astype(np.uint16), np.diff(starts - cuts)
             # runs of whole rows from the row of each 2**16-th pair (none holds two): no temporary outgrows two runs
             firsts = (np.searchsorted(starts, range(0, n_pairs, 1 << 16), side="right") - 1).tolist()
-            table = (np.empty(n_pairs - m, dtype=np.uint16), np.empty(n_pairs - m, dtype=np.uint16))
+            table = (np.repeat(ids[:n], per_row), np.empty(n_pairs - m, dtype=np.uint16))
             for a, b in zip(firsts, [*firsts[1:], n]):
                 absent = np.ones(starts[b] - starts[a], dtype=bool)
                 absent[self._lin[cuts[a] : cuts[b]] - starts[a]] = False
-                u, v = (col[starts[a] - cuts[a] : starts[b] - cuts[b]] for col in table)
-                u[:] = np.repeat(ids[a:b], per_row[a:b])
+                v = table[1][starts[a] - cuts[a] : starts[b] - cuts[b]]
                 # v is a linear index minus its row's offset and below 2**16, so both may wrap modulo 2**16
                 np.add(np.flatnonzero(absent), starts[a], out=v, casting="unsafe")
                 v -= np.repeat(offsets[a:b], per_row[a:b])
