@@ -11,7 +11,7 @@ the noisy-degree standard deviation of the node holding rank i.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -533,9 +533,9 @@ def classify_regime(sep: SeparationReport, inf_rep: InfeasibilityReport) -> str:
     return "indeterminate"
 
 
-def _fields_past_rank(report) -> dict:
-    # k and i_star sit at the top level of the report
-    return {key: val for key, val in asdict(report).items() if key not in ("k", "i_star")}
+def _fields(record, *dropped: str) -> dict:
+    """A dataclass record's fields by name, less the dropped ones; the values are the record's own, not copies."""
+    return {f.name: getattr(record, f.name) for f in fields(record) if f.name not in dropped}
 
 
 def bound_report(
@@ -569,14 +569,14 @@ def bound_report(
         "n": n,
         "num_edges": degree_sum // 2,
         "k": k,
-        "alpha": params.alpha,
-        "beta": params.beta,
+        **_fields(params),
         "delta": delta,
         "c1": c1,
         "c_of_n": c_of_n if c_of_n is not None else default_c_of_n(n),
         "i_star": i_star,
-        "separation": _fields_past_rank(sep),
-        "infeasibility": _fields_past_rank(inf_rep),
+        # k and i_star sit at the top level of the report
+        "separation": _fields(sep, "k", "i_star"),
+        "infeasibility": _fields(inf_rep, "k", "i_star"),
         "regime": classify_regime(sep, inf_rep),
         # the reports above need k <= n - 3, so the envelope's n - k >= 3 holds
         "tail_envelope": tail_envelope(deg, k, params, c_of_n)._asdict(),
@@ -584,18 +584,6 @@ def bound_report(
     }
     if spectral is not None:
         eb = evec_bound(spectral, params)
-        out["evec"] = {
-            "lambda1": spectral.lambda1,
-            "lambda2": spectral.lambda2,
-            "converged": spectral.converged,
-            "residual": spectral.residual,
-            "degenerate": spectral.degenerate,
-            "disconnected": spectral.disconnected,
-            "b1": eb.b1,
-            "b2": eb.b2,
-            "b3": eb.b3,
-            "eps_n": eb.eps_n,
-            "gap_condition_ok": eb.gap_condition_ok,
-            "topk_entry_gap_ok": evec_gap_check(spectral, k, eb),
-        }
+        out["evec"] = {**_fields(spectral, "x", "iterations"), **_fields(eb),
+                       "topk_entry_gap_ok": evec_gap_check(spectral, k, eb)}
     return out

@@ -1,4 +1,4 @@
-"""Centrality scores, top-k extraction, and set-overlap metrics.
+"""Centrality scores, top-k extraction, and the Hamming distance between top-k sets.
 
 Scores are plain 1-d arrays (int64 degrees or a float eigenvector).
 Eigenvector centrality comes from one ARPACK Lanczos solve (scipy's eigsh)
@@ -23,7 +23,6 @@ __all__ = [
     "leading_eigenvector",
     "top_k",
     "hamming",
-    "jaccard",
 ]
 
 # eigenvector entries may dip below zero by roundoff; anything below -CLAMP is an error
@@ -225,12 +224,3 @@ def hamming(a: TopKSet, b: TopKSet) -> int:
     if a.k != b.k:
         raise ValueError(f"sets have different k: {a.k} vs {b.k}")
     return len(a.members.symmetric_difference(b.members))
-
-
-def jaccard(a: TopKSet, b: TopKSet) -> float:
-    """Intersection-over-union of two top-k sets, in [0, 1]."""
-    if not a.members or not b.members:
-        raise ValueError("jaccard needs non-empty sets")
-    inter = len(a.members & b.members)
-    union = len(a.members | b.members)
-    return inter / union

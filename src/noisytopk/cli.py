@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bounds import bound_report
+from .bounds import _fields, bound_report
 from .centrality import spectral_top2, top_k
 from .experiments import (
     MODELS,
@@ -174,13 +174,7 @@ def cmd_centrality(args) -> int:
             return _nonconverged(args, pair.residual)
         for i in range(g.n):
             rows[i]["eigenvector"] = float(pair.x[i])
-        report.update(
-            lambda1=pair.lambda1,
-            lambda2=pair.lambda2,
-            degenerate=pair.degenerate,
-            disconnected=pair.disconnected,
-            iterations=pair.iterations,
-        )
+        report.update(_fields(pair, "x", "converged", "residual"))
         if args.k is not None:
             report["topk_eigenvector"] = sorted(top_k(pair.x, args.k, args.seed).members)
     if args.kind in ("degree", "both") and args.k is not None:

@@ -22,8 +22,8 @@ from functools import partial
 
 import numpy as np
 
-from .bounds import er_expected_hamming_lower_bound, hamming_bounds_realization
-from .centrality import TopKSet, _top_k_rows, connected_components, jaccard, leading_eigenvector, top_k
+from .bounds import _fields, er_expected_hamming_lower_bound, hamming_bounds_realization
+from .centrality import TopKSet, _top_k_rows, connected_components, leading_eigenvector, top_k
 from .graphs import (Graph, NoiseParams, PaParams, apply_noise, generate_er, generate_pa, generate_small_world,
                      noisy_degree_array)
 
@@ -54,7 +54,7 @@ STREAM_GRAPH = 1
 STREAM_NOISE = 2
 STREAM_TIEBREAK = 3
 
-# entries of one draws x n block of noisy degrees that a latent graph's draws are scored in
+# entries of one draws x n block of noisy scores that a latent graph's draws are scored in
 _BLOCK_ENTRIES = 1 << 20
 
 # each graph model's keys besides n, named as the generator's arguments: key -> (parser, default or ... if required)
@@ -302,6 +302,7 @@ def _run_one_graph(cfg: ExperimentConfig, cell_idx: int, n: int, noise: NoisePar
     for first in range(0, draws, step):
         span = slice(first, min(first + step, draws))
         block = np.empty((span.stop - first, n), dtype=np.int64)
+        evecs = []  # the block's converged noisy eigenvectors, in draw order
         for i, r in enumerate(range(first, span.stop)):
             seed = derive_seed(cfg.seed_root, STREAM_NOISE, cell_idx, graph_idx, r)
             if not want_evec:  # degree centrality needs only the noisy degrees
@@ -314,11 +315,14 @@ def _run_one_graph(cfg: ExperimentConfig, cell_idx: int, n: int, noise: NoisePar
                 n_disconnected += 1
             _, xy, oky = leading_eigenvector(y)
             if s_k_evec is not None and oky:
-                s_tilde_evec = top_k(xy, k, tie_seed)
-                jac_evec_sum += jaccard(s_k_evec, s_tilde_evec)
-                jac_evec_cnt += 1
+                evecs.append(xy)
         dh[span], jac_deg[span], hb = _score_block(s_k, block, tie_seed)
         sandwich[:, span] = hb[:2] + hb[3:]
+        if evecs:
+            # summed one by one in draw order: a pairwise or compensated sum rounds differently
+            for jac in _score_block(s_k_evec, np.array(evecs), tie_seed)[1].tolist():
+                jac_evec_sum += jac
+            jac_evec_cnt += len(evecs)
 
     lower, upper = sandwich[:2]  # integers, so their float means are exact in any summation order
     in_below, in_at_most, out_above, out_at_least = sandwich[2:].sum(axis=1).tolist()
@@ -477,7 +481,7 @@ def run_figure1_profile(
         "sw": {"k_ring": 2 * (mean_degree // 2), "rewire_p": rewire_p},
         "pa": {"m": pa_m, "b": pa_b},
     }
-    out: dict = {"n": n, "mean_degree": mean_degree, "alpha": noise.alpha, "beta": noise.beta, "models": {}}
+    out: dict = {"n": n, "mean_degree": mean_degree, **_fields(noise), "models": {}}
     for idx, (name, params) in enumerate(models.items()):
         g = make_graph(name, params, n, derive_seed(seed, STREAM_GRAPH, idx))
         noisy_deg = noisy_degree_array(g, noise, derive_seed(seed, STREAM_NOISE, idx))

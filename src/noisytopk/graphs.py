@@ -49,7 +49,7 @@ def pair_index(n: int, u, v):
     """Linear index of the unordered pair (u, v), u < v, in lexicographic order."""
     u = np.asarray(u, dtype=np.int64)
     v = np.asarray(v, dtype=np.int64)
-    return u * (2 * n - u - 1) // 2 + (v - u - 1)
+    return (u * (2 * n - u - 1) >> 1) + (v - u - 1)
 
 
 def _integers(values, what: str) -> np.ndarray:
@@ -63,7 +63,7 @@ def _integers(values, what: str) -> np.ndarray:
 def _row_counts(n: int, lin: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """For sorted linear indices: the count in each row u, and the offset by which u's indices exceed their column."""
     r = np.arange(n, dtype=np.int64)
-    row_starts = r * (2 * n - r - 1) // 2
+    row_starts = r * (2 * n - r - 1) >> 1
     return np.diff(np.searchsorted(lin, row_starts), append=lin.size), row_starts - r - 1
 
 

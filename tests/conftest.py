@@ -3,9 +3,9 @@
 The dense eigensolver, the dense per-pair noise sampler, the skip sampler
 on numpy's geometric, the cumulative-sum preferential attachment loop, the
 exact noise enumeration and its statistics, the pair-index decoder, the
-COO adjacency build, the rank-by-rank i_star scan and the quadrature normal
-CDF are independent reference implementations; library code must match
-them, never the other way around.
+COO adjacency build, the rank-by-rank i_star scan, the set-based top-k
+Jaccard and the quadrature normal CDF are independent reference
+implementations; library code must match them, never the other way around.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from noisytopk import (
     Graph,
     NoiseParams,
     PaParams,
+    TopKSet,
     hamming_bounds_realization,
 )
 from noisytopk.bounds import _ranked
@@ -181,6 +182,13 @@ def expected_hamming_given_outcome(noisy_degrees, true_set: frozenset, k: int) -
     if slots > 0 and n_tied > 0:
         mean_overlap += slots * np.count_nonzero(tied & members) / n_tied
     return 2.0 * k - 2.0 * mean_overlap
+
+
+def jaccard(a: TopKSet, b: TopKSet) -> float:
+    """Intersection over union of two top-k sets, in [0, 1], from their member sets."""
+    if not a.members or not b.members:
+        raise ValueError("jaccard needs non-empty sets")
+    return len(a.members & b.members) / len(a.members | b.members)
 
 
 def exact_stats(g: Graph, params: NoiseParams, true_topk, k: int):

@@ -644,6 +644,24 @@ class TestBoundReport:
 
         assert {type(leaf) for leaf in leaves(report)} <= {float, int, bool, str, type(None)}
 
+    def test_section_keys(self):
+        # each section is built from its record, so a field added to a record must change these pins
+        g = generate_er(80, 0.2, seed=6)
+        report = bound_report(g.degree_array(), k=5, params=NoiseParams(0.05, 0.05), spectral=spectral_top2(g))
+        assert sorted(report) == (
+            "alpha beta c1 c_of_n delta evec i_star infeasibility k n note num_edges regime separation tail_envelope"
+        ).split()
+        names = ("separation", "infeasibility", "tail_envelope", "evec")
+        sections = {name: " ".join(sorted(report[name])) for name in names}
+        assert sections == {
+            "separation": "bdry_required boundary_ok bulk_ok bulk_required delta_bdry delta_bulk l_bdry l_k "
+            "one_gap_ok one_gap_required sigma_bar_bdry snr success_prob_budget",
+            "infeasibility": "bdry_infeasible bulk_infeasible delta_bdry_bar delta_bdry_threshold delta_bulk_threshold",
+            "tail_envelope": "c_lower c_upper",
+            "evec": "b1 b2 b3 converged degenerate disconnected eps_n gap_condition_ok lambda1 lambda2 residual "
+            "topk_entry_gap_ok",
+        }
+
     def test_non_finite_serialized_as_strings(self):
         # a tied cutoff at zero noise gives snr = inf
         g = _graph(6, [[0, 1], [0, 2], [0, 3], [1, 2], [4, 5], [1, 3]])

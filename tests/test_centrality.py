@@ -12,12 +12,11 @@ from noisytopk import (
     TopKSet,
     generate_er,
     hamming,
-    jaccard,
     leading_eigenvector,
     spectral_top2,
     top_k,
 )
-from conftest import dense_top2, graphs_with_isolated_nodes, random_edges
+from conftest import dense_top2, graphs_with_isolated_nodes, jaccard, random_edges
 
 
 def _graph(n, edges):

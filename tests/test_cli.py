@@ -281,6 +281,15 @@ class TestCentrality:
         assert "n: 30" in out
         assert "topk_degree" in out
 
+    def test_stdout_keys_in_order(self, tmp_path, capsys):
+        src = _write_graph(tmp_path)
+        assert main(["centrality", "--in", str(src), "--k", "4"]) == 0
+        keys = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()]
+        assert keys == [
+            "n", "num_edges", "lambda1", "lambda2", "degenerate", "disconnected", "iterations",
+            "topk_eigenvector", "topk_degree",
+        ]
+
     def test_json_with_topk(self, tmp_path):
         src = _write_graph(tmp_path)
         dst = tmp_path / "scores.json"
@@ -532,6 +541,12 @@ class TestConfigKeys:
             ("er_setting1.ini", [("model", "n", "999")], "model", "n"),
             ("er_setting1.ini", [("noise", "alpha_grid", "0.01 0.02")], "noise", "alpha_grid"),
             ("smoke_zero_noise.ini", [("mc", "seed_root", None), ("DEFAULT", "seed_root", "3")], "DEFAULT", "seed_root"),
+            ("smoke_zero_noise.ini", [("run", "type", "sweep")], "run", "type"),
+            ("smoke_zero_noise.ini", [("model", "kind", "ba")], "model", "kind"),
+            ("smoke_zero_noise.ini", [("extra", "foo", "1"), ("extra", "foo", None)], "extra", "empty section"),
+            ("smoke_zero_noise.ini", [("mc", "k", None)], "mc", "k is missing"),
+            ("smoke_zero_noise.ini", [("mc", "graphs", "two")], "mc", "graphs"),
+            ("er_setting2.ini", [("mc", "theory_curve", "maybe")], "mc", "theory_curve"),
         ],
     )
     def test_unread_or_conflicting_key_is_rejected(self, tmp_path, capsys, name, edits, section, key):
@@ -551,6 +566,14 @@ class TestConfigKeys:
         assert main(["experiment", str(path), "--out", str(base)]) == 2
         err = capsys.readouterr().err
         assert f"error: {path}: need k < n" in err
+        assert not base.with_suffix(".csv").exists()
+        assert not base.with_suffix(".json").exists()
+
+    def test_grid_lengths_that_differ_name_the_file(self, tmp_path, capsys):
+        path = _edited_config(tmp_path, "er_setting2.ini", [("noise", "beta_grid", "0.05 0.05")])
+        base = tmp_path / "res"
+        assert main(["experiment", str(path), "--out", str(base)]) == 2
+        assert f"error: {path}: alpha_grid and beta_grid lengths differ" in capsys.readouterr().err
         assert not base.with_suffix(".csv").exists()
         assert not base.with_suffix(".json").exists()
 

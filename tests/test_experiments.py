@@ -15,10 +15,12 @@ from noisytopk import (
     NoiseParams,
     NoiseSchedule,
     SummaryRow,
+    apply_noise,
     derive_seed,
+    er_expected_hamming_lower_bound,
     hamming,
     hamming_bounds_realization,
-    jaccard,
+    leading_eigenvector,
     run_figure1_profile,
     run_localization,
     run_topk_experiment,
@@ -29,6 +31,7 @@ from noisytopk import (
 )
 from noisytopk import experiments
 from noisytopk.centrality import _top_k_rows
+from conftest import jaccard
 
 
 class TestDeriveSeed:
@@ -143,6 +146,19 @@ class TestExperimentConfig:
             _base_cfg(k=5, n_grid=(4, 50))
         with pytest.raises(ValueError, match="k < n"):
             _base_cfg(k=30, n_grid=(), noise_grid=(NoiseParams(0.1, 0.1),), model_params={"p": 0.3, "n": 30})
+
+    @pytest.mark.parametrize(
+        "over, match",
+        [
+            ({"k": 0}, "k must be positive"),
+            ({"graphs_per_point": 0}, "graphs_per_point and noise_draws_per_graph must be positive"),
+            ({"centrality": "evec"}, "centrality must be 'degree' or 'both'"),
+            ({"n_grid": (1, 5)}, "grid sizes must be at least 2"),
+        ],
+    )
+    def test_out_of_range_value_rejected(self, over, match):
+        with pytest.raises(ValueError, match=match):
+            _base_cfg(**over)
 
     def test_theory_curve_er_only(self):
         with pytest.raises(ValueError):
@@ -263,6 +279,16 @@ class TestRunTopkExperiment:
         row = run_topk_experiment(cfg)[0]
         assert math.isfinite(row.theory_lower)
         assert row.theory_lower >= 0.0
+
+    def test_theory_column_is_nan_where_the_bound_does_not_apply(self):
+        # without noise the bound's variance proxy is 0, and the bound raises
+        noise_grid = (NoiseParams(0.0, 0.0), NoiseParams(0.05, 0.05))
+        cfg = _base_cfg(n_grid=(), noise_grid=noise_grid, model_params={"n": 40, "p": 0.3}, theory_curve=True)
+        with pytest.raises(ValueError, match="not positive"):
+            er_expected_hamming_lower_bound(40, 0.3, noise_grid[0], cfg.k)
+        rows = run_topk_experiment(cfg)
+        assert math.isnan(rows[0].theory_lower)
+        assert rows[1].theory_lower == er_expected_hamming_lower_bound(40, 0.3, noise_grid[1], cfg.k)
 
     def test_threads_give_identical_rows(self):
         cfg = _base_cfg(graphs_per_point=4, noise_draws_per_graph=3)
@@ -402,6 +428,41 @@ class TestAggregateCell:
         cfg = _evec_cfg()
         values = experiments._run_one_graph(cfg, 0, 30, cfg.noise_grid[0], 0)
         assert sorted(values) == sorted([mean for mean, _ in experiments._MEANS] + list(experiments._COUNTS))
+
+    def test_eigenvector_jaccard_is_the_per_draw_mean_summed_in_draw_order(self):
+        # on these 11 draws numpy's pairwise sum and the exactly rounded math.fsum both give another mean than a sum
+        # in draw order
+        draws, noise = 11, NoiseParams(0.1, 0.1)
+        cfg = _evec_cfg(k=4, noise_draws_per_graph=draws, noise_grid=(noise,))
+        values = experiments._run_one_graph(cfg, 0, 30, noise, 3)
+
+        tie_seed = derive_seed(cfg.seed_root, experiments.STREAM_TIEBREAK, 0, 3)
+        g = experiments.make_graph("er", {"p": 0.3}, 30, derive_seed(cfg.seed_root, experiments.STREAM_GRAPH, 0, 3))
+        _, x, ok = leading_eigenvector(g)
+        assert ok
+        s_k = top_k(x, cfg.k, tie_seed)
+        jaccards = []
+        for r in range(draws):
+            y = apply_noise(g, noise, derive_seed(cfg.seed_root, experiments.STREAM_NOISE, 0, 3, r))
+            _, xy, oky = leading_eigenvector(y)
+            if oky:
+                jaccards.append(jaccard(s_k, top_k(xy, cfg.k, tie_seed)))
+        total = 0.0
+        for value in jaccards:
+            total += value
+        assert len(jaccards) == draws and values["n_excluded"] == 0
+        assert values["jaccard_evec"] == total / draws  # bit for bit
+        assert values["jaccard_evec"] != float(np.sum(jaccards)) / draws
+        assert values["jaccard_evec"] != math.fsum(jaccards) / draws
+
+    @pytest.mark.parametrize("failed, excluded", [(0, 11), (4, 1)], ids=["latent", "one-draw"])
+    def test_failed_solves_are_excluded_from_the_eigenvector_jaccard(self, monkeypatch, failed, excluded):
+        # the graph solves itself first, then its draws in order
+        cfg = _evec_cfg(noise_draws_per_graph=11)
+        _fail_solves(monkeypatch, lambda i: i == failed)
+        values = experiments._run_one_graph(cfg, 0, 30, cfg.noise_grid[0], 1)
+        assert values["n_excluded"] == excluded
+        assert math.isnan(values["jaccard_evec"]) == (excluded == 11)
 
     def test_failed_latent_solve_excludes_that_graph_from_the_eigenvector_columns(self, monkeypatch):
         cfg = _evec_cfg()

@@ -317,6 +317,11 @@ class TestSmallWorld:
         with pytest.raises(ValueError):
             generate_small_world(10, 10, 0.1, seed=0)
 
+    def test_saturated_nodes_keep_their_lattice_edges(self):
+        # a ring of degree 4 on 5 nodes is complete: no node has a legal rewiring target left
+        g = generate_small_world(5, 4, 1.0, seed=3)
+        assert g.edges.tolist() == [[u, v] for u in range(5) for v in range(u + 1, 5)]
+
 
 class TestDegrees:
     def test_empty_graph(self):
@@ -423,6 +428,12 @@ class TestEdgeListIO:
         path = tmp_path / "bad.edges"
         path.write_text("# n=4\n0 1\n1 2\n0 1\n")
         with pytest.raises(ValueError, match=r"bad\.edges\W*:4: duplicate edge \(0, 1\)"):
+            load_edge_list(path)
+
+    def test_zero_node_header_names_file(self, tmp_path):
+        path = tmp_path / "bad.edges"
+        path.write_text("# n=0\n")
+        with pytest.raises(ValueError, match=r"bad\.edges.*need at least one node"):
             load_edge_list(path)
 
     def test_unparsable_header_names_file(self, tmp_path):
