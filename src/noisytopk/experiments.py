@@ -313,9 +313,9 @@ def _run_one_graph(cfg: ExperimentConfig, cell_idx: int, n: int, noise: NoisePar
             n_comp, _ = connected_components(y.adjacency_csr())
             if n_comp > 1:
                 n_disconnected += 1
-            _, xy, oky = leading_eigenvector(y)
-            if s_k_evec is not None and oky:
-                evecs.append(xy)
+            # without a latent eigenvector no Jaccard can use a noisy one, so none is solved
+            if s_k_evec is not None and (solved := leading_eigenvector(y))[2]:
+                evecs.append(solved[1])
         dh[span], jac_deg[span], hb = _score_block(s_k, block, tie_seed)
         sandwich[:, span] = hb[:2] + hb[3:]
         if evecs:

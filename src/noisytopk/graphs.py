@@ -1,9 +1,10 @@
 """Random graph generators, edge-flip noise and the shared immutable graph container.
 
-Graphs are simple and undirected, nodes are 0..n-1, and edges are stored
-once in canonical form: an (m, 2) int64 array with edges[:, 0] < edges[:, 1]
-and rows sorted lexicographically.  All generators are pure functions of
-their parameters and an explicit integer seed.
+Graphs are simple and undirected, nodes are 0..n-1, and an edge (u, v), u < v,
+is stored as its lexicographic linear pair index and as column v of row u:
+10 bytes per edge up to n = 65,536, and the canonical (m, 2) edge array is
+decoded on read.  All generators are pure functions of their parameters and an
+explicit integer seed.
 
 An observed graph Y is derived from a latent graph A by flipping each
 node pair independently: an absent pair appears with probability alpha,
@@ -12,10 +13,10 @@ the flips, over the present edges and over the absent pairs, so a draw
 costs time and memory in proportion to the edges of A and Y rather than to
 the n(n-1)/2 pairs; generate_er is the flips of the empty graph.
 Realizations are reproducible bit-for-bit for a fixed seed, each consumer
-on a stream of its own (see STREAM_VERSION).  A dense graph keeps a table of
-the endpoints of its absent pairs.  Where only degrees are read,
-noisy_degree_array counts the endpoints of the same flips without building
-Y and is bit-identical to apply_noise(a, params, seed).degree_array().
+on a stream of its own (see STREAM_VERSION).  A dense graph keeps its absent
+pairs in the same row layout (2 bytes per absent pair).  Where only degrees
+are read, noisy_degree_array counts the endpoints of the same flips without
+building Y and is bit-identical to apply_noise(a, params, seed).degree_array().
 """
 
 from __future__ import annotations
@@ -60,27 +61,39 @@ def _integers(values, what: str) -> np.ndarray:
     return a.astype(np.int64, copy=False)
 
 
-def _row_counts(n: int, lin: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For sorted linear indices: the count in each row u, and the offset by which u's indices exceed their column."""
-    r = np.arange(n, dtype=np.int64)
-    row_starts = r * (2 * n - r - 1) >> 1
-    return np.diff(np.searchsorted(lin, row_starts), append=lin.size), row_starts - r - 1
+def _row_starts(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's first linear pair index (n + 1 int64, n(n-1)/2 last), and how far each row's exceed their column."""
+    r = np.arange(n + 1, dtype=np.int64)
+    starts = r * (2 * n - r - 1) >> 1
+    return starts, starts[:n] - r[:n] - 1
 
 
-def _edges_from_sorted(n: int, lin: np.ndarray, rows: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
-    """The (m, 2) edge array of sorted linear indices, decoded by their _row_counts (rows, where already counted)."""
-    counts, offsets = _row_counts(n, lin) if rows is None else rows
-    edges = np.empty((lin.size, 2), dtype=np.int64)
-    edges[:, 0] = np.repeat(np.arange(n, dtype=np.int64), counts)
-    # written in place: a second full-size temporary made dense draws about a third slower
-    np.subtract(lin, np.repeat(offsets, counts), out=edges[:, 1])
-    return edges
+def _layout(n: int, lin: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted linear pair indices as rows: each row's first position (n + 1 int64), and each pair's column."""
+    starts, offsets = _row_starts(n)
+    indptr = np.searchsorted(lin, starts)
+    cols = np.empty(lin.size, dtype=np.min_scalar_type(int(n) - 1))
+    # narrowed as it is written (a column is below n), so the difference takes no int64 array of its own
+    np.subtract(lin, np.repeat(offsets, np.diff(indptr)), out=cols, casting="unsafe")
+    return indptr, cols
+
+
+def _edges_from_sorted(n: int, lin: np.ndarray, layout: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+    """The (m, 2) int64 edge array of sorted linear indices, decoded from their _layout (layout, where built)."""
+    indptr, cols = _layout(n, lin) if layout is None else layout
+    return np.column_stack([np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr)), cols])
+
+
+def _picked_counts(n: int, indptr: np.ndarray, cols: np.ndarray, picks: np.ndarray | None = None) -> np.ndarray:
+    """How many pairs of a row layout touch each node (int64): all of them, or those at the sorted positions picks."""
+    if picks is not None:
+        indptr, cols = np.searchsorted(picks, indptr), cols[picks]
+    return np.diff(indptr) + np.bincount(cols, minlength=n)
 
 
 def _endpoint_counts(n: int, lin: np.ndarray) -> np.ndarray:
-    """How many of the pairs with sorted linear indices lin touch each node (int64), decoding no pair."""
-    counts, offsets = _row_counts(n, lin)
-    return counts + np.bincount(lin - np.repeat(offsets, counts), minlength=n)
+    """How many of the pairs with sorted linear indices lin touch each node (int64)."""
+    return _picked_counts(n, *_layout(n, lin))
 
 
 # Version of the random streams behind every seeded function.  Version 2 gives each
@@ -102,52 +115,64 @@ def _stream_rng(seed: int, consumer: str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=_SPAWN_KEYS[consumer]))
 
 
-@dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph on nodes 0..n-1 with a canonical edge array.
+    """Simple undirected graph on nodes 0..n-1, stored as sorted linear pair indices and their rows.
 
     The constructor accepts edges in any row order and orientation,
     canonicalizes them, and rejects non-integral or out-of-range endpoints,
-    self-loops, and duplicate pairs.  The stored arrays (edges, and their linear pair
-    indices) are read-only so instances can be shared across threads and processes.
+    self-loops, and duplicate pairs.  It stores _lin, the sorted pair indices (int64),
+    _cols, each edge's column in the narrowest unsigned dtype that holds n - 1 (10
+    bytes per edge up to n = 65,536), and _indptr, each row's first edge (n + 1
+    int64).  edges, the canonical (m, 2) int64 array, is decoded on every read and
+    stored nowhere, so a loop binds it once.  Arrays are read-only and attributes
+    cannot be set, so instances can be shared across threads and processes.
     """
 
-    n: int
-    edges: np.ndarray
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"need at least one node, got n={self.n}")
-        e = _integers(self.edges, "edge endpoints")
+    def __init__(self, n: int, edges):
+        if n < 1:
+            raise ValueError(f"need at least one node, got n={n}")
+        e = _integers(edges, "edge endpoints")
         if e.size == 0:
             e = e.reshape(0, 2)
         if e.ndim != 2 or e.shape[1] != 2:
             raise ValueError(f"edges must be an (m, 2) array, got shape {e.shape}")
-        if e.size and (e.min() < 0 or e.max() >= self.n):
+        if e.size and (e.min() < 0 or e.max() >= n):
             raise ValueError("edge endpoint out of range")
         if np.any(e[:, 0] == e[:, 1]):
             raise ValueError("self-loops are not allowed")
         lo, hi = np.minimum(e[:, 0], e[:, 1]), np.maximum(e[:, 0], e[:, 1])
-        lin = np.sort(pair_index(self.n, lo, hi))
+        lin = np.sort(pair_index(n, lo, hi))
         if np.any(np.diff(lin) == 0):
             raise ValueError("duplicate edges are not allowed")
-        self._freeze(lin)
+        self._freeze(n, lin)
 
-    def _freeze(self, lin: np.ndarray) -> None:
-        """Store the sorted linear pair indices lin, the edge array decoded from them and its row counts, read-only."""
-        rows = _row_counts(self.n, lin)
-        for name, arr in (("edges", _edges_from_sorted(self.n, lin, rows)), ("_lin", lin), ("_rows", rows[0])):
+    def __setattr__(self, name: str, value=None) -> NoReturn:
+        raise AttributeError(f"cannot set or delete {name!r}: a Graph is immutable")
+
+    __delattr__ = __setattr__
+
+    def _freeze(self, n: int, lin: np.ndarray) -> None:
+        """Store n and the sorted linear pair indices lin with their row layout, read-only."""
+        object.__setattr__(self, "n", n)
+        for name, arr in zip(("_lin", "_indptr", "_cols"), (lin, *_layout(n, lin))):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
     @property
+    def edges(self) -> np.ndarray:
+        """The canonical (m, 2) int64 edge array, rows sorted, u < v: decoded on each read, read-only."""
+        edges = _edges_from_sorted(self.n, self._lin, (self._indptr, self._cols))
+        edges.flags.writeable = False
+        return edges
+
+    @property
     def num_edges(self) -> int:
-        return self.edges.shape[0]
+        return self._lin.size
 
     def degree_array(self) -> np.ndarray:
         """Degree of every node, indexed by node id (counted on the first call, read-only)."""
         if (deg := self.__dict__.get("_deg")) is None:
-            object.__setattr__(self, "_deg", deg := self._rows + np.bincount(self.edges[:, 1], minlength=self.n))
+            object.__setattr__(self, "_deg", deg := _picked_counts(self.n, self._indptr, self._cols))
             deg.flags.writeable = False
         return deg
 
@@ -156,30 +181,29 @@ class Graph:
         return self._lin
 
     def _absent_pairs(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """Endpoints (u, v) of the absent pairs in lexicographic order, as read-only uint16 arrays (built on the
-        first call), or None unless they fit in the 24 bytes per edge that edges and _lin take (P - m <= 6m)
-        and P < 2**31, which keeps every node id below 2**16."""
+        """The absent pairs in the row layout of the edges, read-only (built on the first call): each row's first
+        absent rank (n + 1 int64) and each absent pair's column (uint16).  None unless the columns take at most
+        1.5 times the bytes of _lin (P - m <= 6m) and P < 2**31, which keeps every node id below 2**16."""
         n, m = self.n, self.num_edges
         n_pairs = n * (n - 1) // 2
         if n_pairs - m > 6 * m or n_pairs >= 2**31:
             return None
         if (table := self.__dict__.get("_absent")) is None:
-            r = np.arange(n + 1, dtype=np.int64)
-            starts = pair_index(n, r, r + 1)  # each row's first pair, and n_pairs at r = n
-            cuts = np.concatenate([[0], np.cumsum(self._rows)])  # each row's first edge
-            ids, offsets, per_row = r.astype(np.uint16), (starts - r - 1).astype(np.uint16), np.diff(starts - cuts)
+            starts, offsets = _row_starts(n)
+            cuts, offsets = self._indptr, offsets.astype(np.uint16)  # each row's first edge
+            first_rank = starts - cuts  # each row's first absent rank, and P - m at r = n
             # runs of whole rows from the row of each 2**16-th pair (none holds two): no temporary outgrows two runs
             firsts = (np.searchsorted(starts, range(0, n_pairs, 1 << 16), side="right") - 1).tolist()
-            table = (np.repeat(ids[:n], per_row), np.empty(n_pairs - m, dtype=np.uint16))
+            table = (first_rank, np.empty(n_pairs - m, dtype=np.uint16))
             for a, b in zip(firsts, [*firsts[1:], n]):
                 absent = np.ones(starts[b] - starts[a], dtype=bool)
                 absent[self._lin[cuts[a] : cuts[b]] - starts[a]] = False
-                v = table[1][starts[a] - cuts[a] : starts[b] - cuts[b]]
+                v = table[1][first_rank[a] : first_rank[b]]
                 # v is a linear index minus its row's offset and below 2**16, so both may wrap modulo 2**16
                 np.add(np.flatnonzero(absent), starts[a], out=v, casting="unsafe")
-                v -= np.repeat(offsets[a:b], per_row[a:b])
-            for col in table:
-                col.flags.writeable = False
+                v -= np.repeat(offsets[a:b], np.diff(first_rank[a : b + 1]))
+            for arr in table:
+                arr.flags.writeable = False
             object.__setattr__(self, "_absent", table)
         return table
 
@@ -188,12 +212,8 @@ class Graph:
         if (adj := self.__dict__.get("_adj")) is None:
             from scipy import sparse  # on first use: the degree, noise and I/O paths never load scipy
 
-            # the sorted pair indices are the upper triangle in CSR order already: no COO sort
-            indptr = np.zeros(self.n + 1, dtype=np.int32)
-            np.cumsum(self._rows, out=indptr[1:])
-            upper = sparse.csr_matrix(
-                (np.ones(self.num_edges), self.edges[:, 1].astype(np.int32), indptr), shape=(self.n, self.n)
-            )
+            # the row layout is the upper triangle in CSR form already: no COO sort (scipy casts the index dtypes)
+            upper = sparse.csr_matrix((np.ones(self.num_edges), self._cols, self._indptr), shape=(self.n, self.n))
             adj = upper + upper.T
             for arr in (adj.data, adj.indices, adj.indptr):
                 arr.flags.writeable = False
@@ -211,8 +231,7 @@ class Graph:
     def _from_sorted(cls, n: int, lin: np.ndarray) -> "Graph":
         """The graph of the strictly increasing int64 linear pair indices lin, which the caller vouches for."""
         g = object.__new__(cls)
-        object.__setattr__(g, "n", n)
-        g._freeze(lin)
+        g._freeze(n, lin)
         return g
 
 
@@ -245,7 +264,7 @@ def generate_er(n: int, p: float, seed: int) -> Graph:
         raise ValueError(f"need at least one node, got n={n}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability must lie in [0, 1], got {p}")
-    return _flip_pairs(Graph(n, np.empty((0, 2), dtype=np.int64)), p, 0.0, _stream_rng(seed, "er"))
+    return Graph._from_sorted(n, _skip_positions(_stream_rng(seed, "er"), n * (n - 1) // 2, p))
 
 
 def _skip_positions(rng: np.random.Generator, size: int, q: float) -> np.ndarray:
@@ -285,23 +304,14 @@ def _flip_picks(a: Graph, alpha: float, beta: float, rng: np.random.Generator):
 def _absent_pair_indices(a: Graph, ranks: np.ndarray) -> np.ndarray:
     """Sorted int64 linear indices of the absent pairs of a with the given sorted ranks.
 
-    A dense graph pays once for an O(n**2) endpoint table of its absent pairs, and a rank is then one
-    gather; on a sparse graph each draw binary-searches the present indices instead.
+    A dense graph pays once for an O(n**2) row layout of its absent pairs, and a rank is then one gather
+    and a row count; on a sparse graph each draw binary-searches the present indices instead.
     """
     if ranks.size and (table := a._absent_pairs()) is not None:  # alpha = 0 builds no table
-        return pair_index(a.n, table[0][ranks], table[1][ranks])
+        return np.repeat(_row_starts(a.n)[1], np.diff(np.searchsorted(ranks, table[0]))) + table[1][ranks]
     present = a.edge_linear_indices()
     # the absent pair of rank r lies past every present index whose own absent-rank is <= r
     return ranks + np.searchsorted(present - np.arange(present.size), ranks, side="right")
-
-
-def _flip_pairs(a: Graph, alpha: float, beta: float, rng: np.random.Generator) -> Graph:
-    """The graph after the flips of :func:`_flip_picks` on a."""
-    deleted, ranks = _flip_picks(a, alpha, beta, rng)
-    lin = np.concatenate([np.delete(a.edge_linear_indices(), deleted), _absent_pair_indices(a, ranks)])
-    # a stable sort is timsort, which merges the two sorted runs in linear time; rebinding frees the unsorted copy
-    lin = np.sort(lin, kind="stable")
-    return Graph._from_sorted(a.n, lin)
 
 
 @dataclass(frozen=True)
@@ -320,16 +330,19 @@ class NoiseParams:
 
 def apply_noise(a: Graph, params: NoiseParams, seed: int) -> Graph:
     """One noisy observation of the latent graph a; with alpha = beta = 0 the output equals a exactly."""
-    return _flip_pairs(a, params.alpha, params.beta, _stream_rng(seed, "noise"))
+    deleted, ranks = _flip_picks(a, params.alpha, params.beta, _stream_rng(seed, "noise"))
+    lin = np.concatenate([np.delete(a.edge_linear_indices(), deleted), _absent_pair_indices(a, ranks)])
+    # a stable sort is timsort, which merges the two sorted runs in linear time; rebinding frees the unsorted copy
+    lin = np.sort(lin, kind="stable")
+    return Graph._from_sorted(a.n, lin)
 
 
 def noisy_degree_array(a: Graph, params: NoiseParams, seed: int) -> np.ndarray:
     """The degrees of apply_noise(a, params, seed), from its flips alone: no noisy Graph is built."""
     deleted, ranks = _flip_picks(a, params.alpha, params.beta, _stream_rng(seed, "noise"))
-    # take gathers the deleted rows about 10x faster than edges[deleted]
-    deg = a.degree_array() - np.bincount(a.edges.take(deleted, axis=0).ravel(), minlength=a.n)
+    deg = a.degree_array() - _picked_counts(a.n, a._indptr, a._cols, deleted)
     if ranks.size and (table := a._absent_pairs()) is not None:  # the endpoints of the added pairs, counted
-        return deg + np.bincount(table[0][ranks], minlength=a.n) + np.bincount(table[1][ranks], minlength=a.n)
+        return deg + _picked_counts(a.n, *table, ranks)
     return deg + _endpoint_counts(a.n, _absent_pair_indices(a, ranks))
 
 
@@ -437,8 +450,9 @@ def save_edge_list(g: Graph, path) -> None:
         fh.write(f"# n={g.n}\n")
         # the bytes of np.savetxt(fh, g.edges, fmt="%d") from one formatting call per 2**16 rows, not one
         # per row; the blocks bound the Python ints and the text held at once
+        edges = g.edges  # decoded once, not per block
         for start in range(0, g.num_edges, 1 << 16):
-            block = g.edges[start : start + (1 << 16)].ravel().tolist()
+            block = edges[start : start + (1 << 16)].ravel().tolist()
             fh.write(("%d %d\n" * (len(block) // 2)) % tuple(block))
 
 

@@ -89,11 +89,17 @@ def test_bounds_module_takes_numbers_not_graphs():
 SAMPLER_INTERNALS = {
     "_skip_positions",
     "_flip_picks",
-    "_flip_pairs",
     "_endpoint_counts",
     "_edges_from_sorted",
     "_absent_pairs",
     "_absent_pair_indices",
+    # the row layout a graph stores
+    "_row_starts",
+    "_layout",
+    "_picked_counts",
+    "_lin",
+    "_indptr",
+    "_cols",
 }
 
 

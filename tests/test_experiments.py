@@ -418,9 +418,12 @@ def _fail_solves(monkeypatch, fails):
 
 
 def _fail_latent_solves(monkeypatch, cfg, graphs):
-    """Fail the latent solve of each listed graph in a serial run of one cell: a graph solves itself, then its draws."""
-    per_graph = 1 + cfg.noise_draws_per_graph
-    _fail_solves(monkeypatch, lambda i: i % per_graph == 0 and i // per_graph in graphs)
+    """Fail the latent solve of each listed graph in a serial run of one cell: a graph solves itself, then its draws
+    (none of them once its own solve has failed)."""
+    latent = [0]  # the call index of each graph's latent solve
+    for _ in range(cfg.graphs_per_point):
+        latent.append(latent[-1] + 1 + (0 if len(latent) - 1 in graphs else cfg.noise_draws_per_graph))
+    _fail_solves(monkeypatch, lambda i: i in {latent[j] for j in graphs})
 
 
 class TestAggregateCell:
@@ -463,6 +466,21 @@ class TestAggregateCell:
         values = experiments._run_one_graph(cfg, 0, 30, cfg.noise_grid[0], 1)
         assert values["n_excluded"] == excluded
         assert math.isnan(values["jaccard_evec"]) == (excluded == 11)
+
+    def test_failed_latent_solve_skips_the_noisy_solves(self, monkeypatch):
+        # the noisy graphs are still drawn and their components counted; only their eigenvectors are not solved
+        cfg = _evec_cfg(noise_draws_per_graph=11, noise_grid=(NoiseParams(0.01, 0.7),))
+        base = experiments._run_one_graph(cfg, 0, 30, cfg.noise_grid[0], 1)
+        solves, real_components, components = [], experiments.connected_components, []
+        _fail_solves(monkeypatch, lambda i: solves.append(i) or i == 0)
+        monkeypatch.setattr(experiments, "connected_components", lambda *a: components.append(0) or real_components(*a))
+        values = experiments._run_one_graph(cfg, 0, 30, cfg.noise_grid[0], 1)
+        assert solves == [0] and len(components) == 11
+        assert base["n_excluded"] == 0 and base["n_disconnected"] > 0
+        assert values["n_excluded"] == 11 and math.isnan(values["jaccard_evec"])
+        assert {key: repr(v) for key, v in values.items() if key not in ("n_excluded", "jaccard_evec")} == {
+            key: repr(v) for key, v in base.items() if key not in ("n_excluded", "jaccard_evec")
+        }
 
     def test_failed_latent_solve_excludes_that_graph_from_the_eigenvector_columns(self, monkeypatch):
         cfg = _evec_cfg()

@@ -137,6 +137,32 @@ class TestGraphType:
         with pytest.raises(ValueError):
             g.edges[0, 0] = 2
 
+    def test_attributes_cannot_be_set_or_deleted(self):
+        g = _graph(3, [[0, 1]])
+        for name in ("n", "edges", "_lin", "_cols", "weights"):
+            with pytest.raises(AttributeError, match="immutable"):
+                setattr(g, name, 0)
+        with pytest.raises(AttributeError, match="immutable"):
+            del g.n
+        assert g.n == 3 and g.edges.tolist() == [[0, 1]] and not hasattr(g, "weights")
+
+    @pytest.mark.parametrize(
+        ("n", "p", "dtype"),
+        [(1, 0.5, np.uint8), (256, 0.3, np.uint8), (257, 0.3, np.uint16)]
+        + [(65_536, 1e-8, np.uint16), (65_537, 1e-8, np.uint32)],
+    )
+    def test_edges_are_decoded_on_read_and_stored_nowhere(self, n, p, dtype):
+        # the columns take the narrowest unsigned dtype that holds n - 1
+        g = generate_er(n, p, seed=2)
+        assert g._cols.dtype == dtype and (g.num_edges > 0) == (n > 1)
+        stored = dict(vars(g))
+        edges = g.edges
+        assert edges.dtype == np.int64 and not edges.flags.writeable
+        assert np.array_equal(edges, np.column_stack(pair_from_index(n, g.edge_linear_indices())).reshape(-1, 2))
+        assert np.all(edges[:, 0] < edges[:, 1]) and np.array_equal(np.lexsort(edges.T[::-1]), np.arange(g.num_edges))
+        assert g.edges is not edges and np.array_equal(g.edges, edges)  # decoded again on each read
+        assert vars(g).keys() == stored.keys() and all(vars(g)[key] is value for key, value in stored.items())
+
     def test_adjacency_built_once_and_read_only(self):
         g = _graph(4, [[0, 1], [1, 2], [2, 3]])
         adj = g.adjacency_csr()

@@ -256,6 +256,12 @@ def dense_and_sparse_graphs(draw):
     return _complete(n) if kind == "complete" else _graph(n, [])
 
 
+def _decode_rows(n, firsts, cols):
+    """The linear pair indices of a row layout: each row's first position (n + 1 of them) and each pair's column."""
+    rows = np.repeat(np.arange(n), np.diff(firsts))
+    return pair_index(n, rows, cols)
+
+
 @settings(max_examples=300, deadline=None)
 @given(g=dense_and_sparse_graphs(), alpha=RATES, beta=RATES, seed=st.integers(min_value=0, max_value=2**63))
 def test_added_pairs_are_the_absent_pairs_of_the_drawn_ranks(g, alpha, beta, seed):
@@ -272,8 +278,8 @@ def test_added_pairs_are_the_absent_pairs_of_the_drawn_ranks(g, alpha, beta, see
     table = g._absent_pairs()
     assert (table is not None) == (n_pairs - m <= 6 * m)
     if table is not None:
-        assert np.array_equal(pair_index(g.n, *table), absent)
-        assert sum(col.nbytes for col in table) <= g.edges.nbytes + lin.nbytes
+        assert np.array_equal(_decode_rows(g.n, *table), absent)
+        assert table[1].nbytes <= 1.5 * lin.nbytes and table[0].nbytes == 8 * (g.n + 1)
 
 
 def test_dense_graph_builds_its_absent_pair_table_once():
@@ -286,11 +292,16 @@ def test_dense_graph_builds_its_absent_pair_table_once():
         noisy_degree_array(g, NoiseParams(0.03, 0.05), seed)
         apply_noise(g, NoiseParams(0.01, 0.2), seed)
         assert g.__dict__["_absent"] is table and g._absent_pairs() is table
-    for col in table:
-        assert col.dtype == np.uint16 and not col.flags.writeable
+    firsts, cols = table
+    assert cols.dtype == np.uint16 and firsts.dtype == np.int64
+    for arr in table:
+        assert not arr.flags.writeable
         with pytest.raises(ValueError):
-            col[0] = 0
-    assert sum(col.nbytes for col in table) <= g.edges.nbytes + g.edge_linear_indices().nbytes
+            arr[0] = 0
+    n_pairs, lin = g.n * (g.n - 1) // 2, g.edge_linear_indices()
+    assert n_pairs - lin.size <= 6 * lin.size
+    assert np.array_equal(_decode_rows(g.n, firsts, cols), np.setdiff1d(np.arange(n_pairs), lin))
+    assert cols.nbytes <= 1.5 * lin.nbytes and firsts.nbytes == 8 * (g.n + 1)
 
 
 def test_sparse_graph_builds_no_absent_pair_table():
@@ -298,3 +309,21 @@ def test_sparse_graph_builds_no_absent_pair_table():
     noisy_degree_array(g, NoiseParams(1e-3, 0.05), seed=1)
     assert "_absent" not in g.__dict__
     assert g._absent_pairs() is None
+
+
+def test_dense_graph_stores_ten_bytes_an_edge_and_two_an_absent_pair():
+    # after every reader of its layout has run; the cached adjacency matrix is scipy's and not counted
+    n = 1000
+    g = generate_er(n, 0.25, seed=7)
+    noisy_degree_array(g, NoiseParams(0.02, 0.1), seed=1)
+    apply_noise(g, NoiseParams(0.02, 0.1), seed=2)
+    g.degree_array()
+    adj = g.adjacency_csr()
+    arrays = [a for v in vars(g).values() for a in (v if isinstance(v, tuple) else (v,)) if isinstance(a, np.ndarray)]
+    assert len(arrays) == 6  # _lin, _indptr, _cols, _deg and the two of the absent-pair table
+    assert all(a.ndim == 1 for a in [*arrays, adj.data, adj.indices, adj.indptr])  # no (m, 2) array
+    m, n_pairs = g.num_edges, n * (n - 1) // 2
+    assert g._absent_pairs()[1].nbytes == 2 * (n_pairs - m)
+    assert sum(a.nbytes for a in arrays) <= 10 * m + 2 * (n_pairs - m) + 24 * (n + 1)
+    # what the arrays keep alive, spare room of the buffers they view included
+    assert sum((a if a.base is None else a.base).nbytes for a in arrays) <= 2 * 2**20
