@@ -344,6 +344,8 @@ def git_describe() -> str:
 
 def cmd_experiment(args) -> int:
     run_type, v, cp = _read_config(args.config)
+    if args.threads > 1 and run_type in ("localization", "figure1"):  # only the topk harness maps over workers
+        raise ValueError(f"{args.config}: --threads applies to topk and jaccard runs, not to a {run_type} run")
     model = v.get("kind", "all" if run_type == "figure1" else "pa")
     base = args.out or f"{run_type}_{model}_{datetime.now(timezone.utc).strftime('%Y%m%dT%H%M%SZ')}"
     csv_path, json_path = f"{base}.csv", f"{base}.json"

@@ -17,7 +17,7 @@ import concurrent.futures
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass, is_dataclass
+from dataclasses import asdict, dataclass, fields, is_dataclass
 from functools import partial
 
 import numpy as np
@@ -175,7 +175,8 @@ class ExperimentConfig:
 
 @dataclass
 class SummaryRow:
-    """One grid point of a top-k study; bound columns are on the d_H/2 scale."""
+    """One grid point of a top-k study; bound columns are on the d_H/2 scale, and each se_ field is the standard
+    error of the mean in the field just before it."""
 
     x_value: float
     n: int
@@ -204,17 +205,8 @@ class SummaryRow:
     n_disconnected: int
 
 
-# each SummaryRow mean over the per-graph values of _run_one_graph, with its standard-error column
-_MEANS = (
-    ("mean_half_hamming", "se_half_hamming"),
-    ("mean_lower_bound", "se_lower_bound"),
-    ("mean_upper_bound", "se_upper_bound"),
-    ("exp_lower_bound", "se_exp_lower_bound"),
-    ("exp_upper_bound", "se_exp_upper_bound"),
-    ("exact_recovery_rate", "se_exact_recovery"),
-    ("jaccard_degree", "se_jaccard_degree"),
-    ("jaccard_evec", "se_jaccard_evec"),
-)
+# each SummaryRow mean over the per-graph values of _run_one_graph, with the se_ field that follows it
+_MEANS = tuple((a.name, b.name) for a, b in zip(fields(SummaryRow), fields(SummaryRow)[1:]) if b.name.startswith("se_"))
 # the SummaryRow counts summed over the graphs of a grid point
 _COUNTS = ("n_excluded", "n_disconnected")
 

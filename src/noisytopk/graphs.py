@@ -78,22 +78,11 @@ def _layout(n: int, lin: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return indptr, cols
 
 
-def _edges_from_sorted(n: int, lin: np.ndarray, layout: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
-    """The (m, 2) int64 edge array of sorted linear indices, decoded from their _layout (layout, where built)."""
-    indptr, cols = _layout(n, lin) if layout is None else layout
-    return np.column_stack([np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr)), cols])
-
-
 def _picked_counts(n: int, indptr: np.ndarray, cols: np.ndarray, picks: np.ndarray | None = None) -> np.ndarray:
     """How many pairs of a row layout touch each node (int64): all of them, or those at the sorted positions picks."""
     if picks is not None:
         indptr, cols = np.searchsorted(picks, indptr), cols[picks]
     return np.diff(indptr) + np.bincount(cols, minlength=n)
-
-
-def _endpoint_counts(n: int, lin: np.ndarray) -> np.ndarray:
-    """How many of the pairs with sorted linear indices lin touch each node (int64)."""
-    return _picked_counts(n, *_layout(n, lin))
 
 
 # Version of the random streams behind every seeded function.  Version 2 gives each
@@ -161,7 +150,7 @@ class Graph:
     @property
     def edges(self) -> np.ndarray:
         """The canonical (m, 2) int64 edge array, rows sorted, u < v: decoded on each read, read-only."""
-        edges = _edges_from_sorted(self.n, self._lin, (self._indptr, self._cols))
+        edges = np.column_stack([np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self._indptr)), self._cols])
         edges.flags.writeable = False
         return edges
 
@@ -233,6 +222,10 @@ class Graph:
         g = object.__new__(cls)
         g._freeze(n, lin)
         return g
+
+    def __reduce__(self):
+        """Pickle and copy as n and the pair indices: the copy rebuilds its read-only layout and carries no cache."""
+        return Graph._from_sorted, (self.n, self._lin)
 
 
 @dataclass(frozen=True)
@@ -343,7 +336,7 @@ def noisy_degree_array(a: Graph, params: NoiseParams, seed: int) -> np.ndarray:
     deg = a.degree_array() - _picked_counts(a.n, a._indptr, a._cols, deleted)
     if ranks.size and (table := a._absent_pairs()) is not None:  # the endpoints of the added pairs, counted
         return deg + _picked_counts(a.n, *table, ranks)
-    return deg + _endpoint_counts(a.n, _absent_pair_indices(a, ranks))
+    return deg + _picked_counts(a.n, *_layout(a.n, _absent_pair_indices(a, ranks)))
 
 
 def generate_pa(params: PaParams, seed: int) -> Graph:

@@ -89,8 +89,6 @@ def test_bounds_module_takes_numbers_not_graphs():
 SAMPLER_INTERNALS = {
     "_skip_positions",
     "_flip_picks",
-    "_endpoint_counts",
-    "_edges_from_sorted",
     "_absent_pairs",
     "_absent_pair_indices",
     # the row layout a graph stores
@@ -112,6 +110,13 @@ def test_only_graphs_reads_the_sampler_internals():
         if path.name != "graphs.py" and (used := sorted(SAMPLER_INTERNALS & (imported | set(_references(tree))))):
             readers[path.name] = used
     assert readers == {}
+
+
+def test_every_sampler_internal_is_still_in_graphs():
+    # a removed helper must leave the set too, or the guard above checks a name that no longer exists
+    names = set(_references(tree := ast.parse((ROOT / "src" / "noisytopk" / "graphs.py").read_text())))
+    names |= {node.name for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert sorted(SAMPLER_INTERNALS - names) == []
 
 
 def test_source_fits_the_line_budget():

@@ -488,6 +488,22 @@ class TestExperiment:
             assert code == 0
         assert base_a.with_suffix(".csv").read_bytes() == base_b.with_suffix(".csv").read_bytes()
 
+    @pytest.mark.parametrize("name", ["localization_pa.ini", "figure1.ini"])
+    def test_threads_are_refused_where_the_run_is_serial(self, tmp_path, capsys, monkeypatch, name):
+        path, base = _edited_config(tmp_path, name, []), tmp_path / "res"
+        for study in ("run_localization", "run_figure1_profile"):
+            monkeypatch.setattr(cli, study, _no_study)
+        assert main(["experiment", str(path), "--threads", "2", "--out", str(base)]) == 2
+        assert f"error: {path}: --threads applies to topk and jaccard runs" in capsys.readouterr().err
+        assert not base.with_suffix(".csv").exists() and not base.with_suffix(".json").exists()
+        monkeypatch.undo()
+        assert main(["experiment", str(path), "--threads", "1", "--out", str(base), "--quiet"]) == 0
+        assert base.with_suffix(".csv").exists() and base.with_suffix(".json").exists()
+
+
+def _no_study(*args, **kwargs):
+    raise AssertionError("the study ran before --threads was checked")
+
 
 # small sizes for every bundled config, keeping each one's keys and grid shape
 _SCALED = {

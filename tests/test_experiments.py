@@ -1,5 +1,7 @@
+import ast
 import csv
 import dataclasses
+import inspect
 import itertools
 import json
 import math
@@ -428,9 +430,11 @@ def _fail_latent_solves(monkeypatch, cfg, graphs):
 
 class TestAggregateCell:
     def test_per_graph_values_are_the_tables_columns(self):
-        cfg = _evec_cfg()
-        values = experiments._run_one_graph(cfg, 0, 30, cfg.noise_grid[0], 0)
-        assert sorted(values) == sorted([mean for mean, _ in experiments._MEANS] + list(experiments._COUNTS))
+        for cfg in (_evec_cfg(), _evec_cfg(centrality="degree")):
+            values = experiments._run_one_graph(cfg, 0, 30, cfg.noise_grid[0], 0)
+            assert sorted(values) == sorted([mean for mean, _ in experiments._MEANS] + list(experiments._COUNTS))
+            # summed into the int columns of SummaryRow, so neither a float nor a numpy integer
+            assert [type(values[name]) for name in experiments._COUNTS] == [int] * len(experiments._COUNTS)
 
     def test_eigenvector_jaccard_is_the_per_draw_mean_summed_in_draw_order(self):
         # on these 11 draws numpy's pairwise sum and the exactly rounded math.fsum both give another mean than a sum
@@ -650,14 +654,18 @@ class TestRunFigure1Profile:
 
 class TestSummarySchema:
     def test_every_summary_field_has_one_source(self):
+        # a field is one that _aggregate_cell fills itself, a key _run_one_graph returns, or the se_ field after a mean
         names = [f.name for f in dataclasses.fields(SummaryRow)]
-        own = ["x_value", "n", "alpha", "beta", "theory_lower", "n_graphs", "n_draws"]  # _aggregate_cell's own
-        sources = [*own, *(name for pair in experiments._MEANS for name in pair), *experiments._COUNTS]
-        assert sorted(sources) == sorted(names)
-        assert len(set(sources)) == len(sources)
-        for mean, se in experiments._MEANS:
-            assert names.index(se) == names.index(mean) + 1, se
-        assert [mean for mean, _ in experiments._MEANS] == [name for name in names if name in dict(experiments._MEANS)]
+        tree = ast.parse(inspect.getsource(experiments._aggregate_cell))
+        calls = (node for node in ast.walk(tree) if isinstance(node, ast.Call))
+        row = next(call for call in calls if isinstance(call.func, ast.Name) and call.func.id == "SummaryRow")
+        own = {keyword.arg for keyword in row.keywords if keyword.arg is not None}  # not the **stats of the keys
+        cfg = _evec_cfg()
+        returned = set(experiments._run_one_graph(cfg, 0, 30, cfg.noise_grid[0], 0))
+        means = returned - set(experiments._COUNTS)
+        for before, name in zip([None, *names], names):
+            sources = [name in own, name in returned, name.startswith("se_") and before in means]
+            assert sources.count(True) == 1, name
 
     def test_summary_csv_header(self, tmp_path):
         path = tmp_path / "rows.csv"

@@ -1,6 +1,8 @@
+import copy
 import hashlib
 import io
 import math
+import pickle
 import time
 import warnings
 
@@ -145,6 +147,30 @@ class TestGraphType:
         with pytest.raises(AttributeError, match="immutable"):
             del g.n
         assert g.n == 3 and g.edges.tolist() == [[0, 1]] and not hasattr(g, "weights")
+
+    @pytest.mark.parametrize(
+        "clone",
+        [lambda g: pickle.loads(pickle.dumps(g, protocol=2)), lambda g: pickle.loads(pickle.dumps(g, protocol=-1))]
+        + [copy.copy, copy.deepcopy],
+        ids=["pickle-2", "pickle-highest", "copy", "deepcopy"],
+    )
+    def test_pickled_and_copied_graphs_are_rebuilt_read_only(self, clone):
+        g = generate_er(50, 0.3, seed=1)
+        adj, _, _ = g.adjacency_csr(), g.degree_array(), g._absent_pairs()
+        assert {"_adj", "_deg", "_absent"} <= vars(g).keys()  # every cache of the original is filled
+        h = clone(g)
+        assert type(h) is Graph and h.n == g.n
+        assert sorted(vars(h)) == ["_cols", "_indptr", "_lin", "n"]  # no cache travels
+        for name in ("_lin", "_indptr", "_cols"):
+            assert not getattr(h, name).flags.writeable, name
+        assert np.array_equal(h.edge_linear_indices(), g.edge_linear_indices())
+        assert np.array_equal(h.edges, g.edges) and np.array_equal(h.degree_array(), g.degree_array())
+        assert not h.degree_array().flags.writeable
+        h_adj = h.adjacency_csr()
+        for got, want in ((h_adj.data, adj.data), (h_adj.indices, adj.indices), (h_adj.indptr, adj.indptr)):
+            assert not got.flags.writeable and np.array_equal(got, want)
+        with pytest.raises(AttributeError, match="immutable"):
+            h.n = 3
 
     @pytest.mark.parametrize(
         ("n", "p", "dtype"),

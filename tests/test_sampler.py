@@ -26,7 +26,7 @@ from noisytopk import (
     noisy_degree_array,
     pair_index,
 )
-from noisytopk.graphs import _absent_pair_indices, _edges_from_sorted, _endpoint_counts, _flip_picks, _skip_positions
+from noisytopk.graphs import _absent_pair_indices, _flip_picks, _layout, _picked_counts, _skip_positions
 from conftest import (
     dense_noise,
     edge_set,
@@ -152,9 +152,9 @@ def test_pair_index_round_trip(n, data):
     u, v = pair_from_index(n, idx)
     assert np.all((0 <= u) & (u < v) & (v < n))
     assert np.array_equal(pair_index(n, u, v), idx)
-    # the sampler's decoder counts the indices of each row of a sorted run
+    # a graph decodes its sorted run of indices from the row layout it stores
     lin = np.unique(idx)
-    edges = _edges_from_sorted(n, lin)
+    edges = Graph._from_sorted(n, lin).edges
     assert edges.shape == (lin.size, 2)
     assert np.array_equal(edges, np.column_stack(pair_from_index(n, lin)))
 
@@ -208,16 +208,17 @@ def test_skip_positions_equal_the_geometric_oracle_bit_for_bit(q, size, seed):
 def test_endpoint_counts_equal_a_bincount_of_the_decoded_pairs(n, density, seed):
     n_pairs = n * (n - 1) // 2
     lin = np.flatnonzero(np.random.default_rng(seed).random(n_pairs) < density).astype(np.int64)
-    got = _endpoint_counts(n, lin)
+    got = _picked_counts(n, *_layout(n, lin))
     assert got.dtype == np.int64
-    assert np.array_equal(got, np.bincount(_edges_from_sorted(n, lin).ravel(), minlength=n))
+    assert np.array_equal(got, np.bincount(np.concatenate(pair_from_index(n, lin)), minlength=n))
 
 
 def test_endpoint_counts_on_a_few_pairs_of_a_large_graph():
     n = 100_000
     lin = np.unique(np.random.default_rng(2).integers(0, n * (n - 1) // 2, 50))
-    assert np.array_equal(_endpoint_counts(n, lin), np.bincount(_edges_from_sorted(n, lin).ravel(), minlength=n))
-    assert np.array_equal(_endpoint_counts(n, lin[:0]), np.zeros(n, dtype=np.int64))
+    want = np.bincount(np.concatenate(pair_from_index(n, lin)), minlength=n)
+    assert np.array_equal(_picked_counts(n, *_layout(n, lin)), want)
+    assert np.array_equal(_picked_counts(n, *_layout(n, lin[:0])), np.zeros(n, dtype=np.int64))
 
 
 def test_large_sparse_graph_needs_no_per_pair_array():
