@@ -42,6 +42,7 @@ __all__ = [
     "evec_gap_check",
     "classify_regime",
     "bound_report",
+    "evec_report",
 ]
 
 LEADING_ORDER_NOTE = "leading-order evaluation; vanishing remainder terms omitted"
@@ -546,25 +547,22 @@ def bound_report(
     c1: float = 0.5,
     c_of_n: float | None = None,
     i_star: int | None = None,
-    spectral: SpectralPair | None = None,
 ) -> dict:
-    """Assemble every bound evaluation for one graph into a dict of plain values.
+    """Assemble every degree bound evaluation for one graph into a dict of plain values.
 
-    degrees holds one true degree per node, in any node order; spectral, the graph's solved top-2 pair,
-    gives the evec section, which is None without it.  Numbers are plain Python floats and ints, so snr
-    and eps_n may be inf or nan; the CLI writes those into strict JSON as the strings 'nan'/'inf'/'-inf'.
+    degrees holds one true degree per node, in any node order.  The evec section is None; evec_report builds
+    it from the graph's solved top-2 pair.  Numbers are plain Python floats and ints, so snr and eps_n may be
+    inf or nan; the CLI writes those into strict JSON as the strings 'nan'/'inf'/'-inf'.
     """
     deg = _descending(degrees)
     n, degree_sum = deg.size, int(deg.sum())
     if degree_sum % 2:
         raise ValueError(f"degrees must have an even sum, got {degree_sum}")
-    if spectral is not None and spectral.x.size != n:
-        raise ValueError(f"spectral pair has {spectral.x.size} entries, degrees have {n}")
     if i_star is None:
         i_star = default_i_star(deg, k, params)
     sep = separation_report(deg, k, i_star, params, delta, c_of_n)
     inf_rep = infeasibility_report(deg, k, i_star, params, c1, c_of_n)
-    out: dict = {
+    return {
         "note": LEADING_ORDER_NOTE,
         "n": n,
         "num_edges": degree_sum // 2,
@@ -582,8 +580,9 @@ def bound_report(
         "tail_envelope": tail_envelope(deg, k, params, c_of_n)._asdict(),
         "evec": None,
     }
-    if spectral is not None:
-        eb = evec_bound(spectral, params)
-        out["evec"] = {**_fields(spectral, "x", "iterations"), **_fields(eb),
-                       "topk_entry_gap_ok": evec_gap_check(spectral, k, eb)}
-    return out
+
+
+def evec_report(spectral: SpectralPair, k: int, params: NoiseParams) -> dict:
+    """The evec section of a bound report: the solved top-2 pair, evec_bound of it and evec_gap_check at k."""
+    eb = evec_bound(spectral, params)
+    return {**_fields(spectral, "x", "iterations"), **_fields(eb), "topk_entry_gap_ok": evec_gap_check(spectral, k, eb)}

@@ -15,30 +15,29 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import csv
+import json
+import math
 import subprocess
 import sys
 import time
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .bounds import _fields, bound_report
+from .bounds import _fields, bound_report, evec_report
 from .centrality import spectral_top2, top_k
 from .experiments import (
     MODELS,
     ExperimentConfig,
     NoiseSchedule,
-    json_text,
     make_graph,
     run_figure1_profile,
     run_localization,
     run_topk_experiment,
-    write_figure1_csv,
-    write_csv,
-    write_json_mirror,
-    write_summary_csv,
 )
 from .graphs import STREAM_VERSION, NoiseParams, apply_noise, load_edge_list, save_edge_list
 
@@ -62,13 +61,20 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _nonnegative_float(text: str) -> float:
+    value = float(text)
+    if not value >= 0:  # also rejects nan
+        raise argparse.ArgumentTypeError(f"expected a nonnegative number, got {text!r}")
+    return value
+
+
 def _add_solver(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
-        "--tol", type=float, default=1e-10,
+        "--tol", type=_nonnegative_float, default=1e-10,
         help="ARPACK relative accuracy of the eigenvalues (default 1e-10; 0 means machine precision)",
     )
     sub.add_argument(
-        "--max-iter", type=int, default=10000,
+        "--max-iter", type=_positive_int, default=10000,
         help="ARPACK budget of Lanczos restarts; exhausting it exits 3 (default 10000)",
     )
 
@@ -187,8 +193,7 @@ def cmd_centrality(args) -> int:
     if args.format == "json":
         write_json_mirror(args.out, report, rows)
     else:
-        names = list(rows[0])
-        write_csv(args.out, names, ([row[name] for name in names] for row in rows))
+        write_summary_csv(rows, args.out)
     _say(args, f"wrote {args.out}")
     for key, val in report.items():
         if not isinstance(val, list):
@@ -198,20 +203,17 @@ def cmd_centrality(args) -> int:
 
 def cmd_bounds(args) -> int:
     g = load_edge_list(args.input)
-    pair = None if args.no_evec else spectral_top2(g, tol=args.tol, max_iter=args.max_iter)
-    if pair is not None and not pair.converged:
-        return _nonconverged(args, pair.residual)
+    params = NoiseParams(alpha=args.alpha, beta=args.beta)
+    # the degree report checks every argument, so a bad one exits before the eigensolve
     report = bound_report(
-        g.degree_array(),
-        k=args.k,
-        params=NoiseParams(alpha=args.alpha, beta=args.beta),
-        delta=args.delta,
-        c1=args.c1,
-        c_of_n=args.c_of_n,
-        i_star=args.i_star,
-        spectral=pair,
+        g.degree_array(), k=args.k, params=params, delta=args.delta, c1=args.c1, c_of_n=args.c_of_n, i_star=args.i_star
     )
-    text = json_text(report)
+    if not args.no_evec:
+        pair = spectral_top2(g, tol=args.tol, max_iter=args.max_iter)
+        if not pair.converged:
+            return _nonconverged(args, pair.residual)
+        report["evec"] = evec_report(pair, args.k, params)
+    text = _json_text(report)
     if args.out is None:
         sys.stdout.write(text)
     else:
@@ -353,15 +355,16 @@ def cmd_experiment(args) -> int:
     started = time.monotonic()
     try:
         if run_type == "localization":
-            rows = run_localization(v["n_grid"], reps=v["reps"], b=v["b"], seed_root=v["seed_root"])
-            write_summary_csv(rows, csv_path)
+            found = run_localization(v["n_grid"], reps=v["reps"], b=v["b"], seed_root=v["seed_root"])
+            table = rows = [asdict(row) for row in found]
         elif run_type == "figure1":
             profile = run_figure1_profile(
                 n=v["n"], mean_degree=v["mean_degree"], noise=NoiseParams(alpha=v["alpha"], beta=v["beta"]),
                 seed=v["seed_root"], rewire_p=v["rewire_p"], pa_m=v["pa_m"], pa_b=v["pa_b"],
             )
-            write_figure1_csv(profile, csv_path)
             rows = [{"model": name, **entry} for name, entry in profile["models"].items()]
+            table = [dict(zip(("model", "rank", "node", "true_degree", "noisy_degree"), (name, *line)))
+                     for name, entry in profile["models"].items() for line in entry["rows"]]
         else:
             size_sweep = "n_grid" in v
             cfg = ExperimentConfig(
@@ -378,8 +381,8 @@ def cmd_experiment(args) -> int:
                 centrality=v["centrality"],
                 theory_curve=v["theory_curve"],
             )
-            rows = run_topk_experiment(cfg, threads=args.threads)
-            write_summary_csv(rows, csv_path)
+            table = rows = [asdict(row) for row in run_topk_experiment(cfg, threads=args.threads)]
+        write_summary_csv(table, csv_path)
     except ValueError as exc:
         # the study rejects values the key table cannot check on its own
         raise ValueError(f"{args.config}: {exc}") from None
@@ -396,6 +399,40 @@ def cmd_experiment(args) -> int:
     if not args.quiet:  # the source version goes to stdout only, so the outputs depend on the config alone
         print(f"wrote {csv_path} and {json_path} (wall time {elapsed:.2f}s, source {git_describe()})")
     return EXIT_OK
+
+
+# ---------------------------------------------------------------- output
+
+
+def write_summary_csv(records: list[dict], path) -> None:
+    """Write records as CSV headed by the first record's keys; floats keep every digit (repr)."""
+    if not records:
+        raise ValueError("no rows to write")
+    with open(path, "w", newline="", encoding="ascii") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(records[0])
+        writer.writerows([repr(v) if isinstance(v, float) else str(v) for v in record.values()] for record in records)
+
+
+def _json_text(doc) -> str:
+    """Strict JSON text of doc with sorted keys; non-finite floats become 'nan'/'inf'/'-inf'."""
+
+    def sanitize(obj):
+        if isinstance(obj, float) and not math.isfinite(obj):
+            return "nan" if math.isnan(obj) else "inf" if obj > 0 else "-inf"
+        if isinstance(obj, dict):
+            return {key: sanitize(val) for key, val in obj.items()}
+        if isinstance(obj, (list, tuple)):
+            return [sanitize(val) for val in obj]
+        return obj
+
+    return json.dumps(sanitize(doc), indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def write_json_mirror(path, meta: dict, records: list[dict]) -> None:
+    """JSON companion to a CSV: {'meta': ..., 'rows': [...]} as _json_text writes it."""
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(_json_text({"meta": meta, "rows": records}))
 
 
 def main(argv=None) -> int:

@@ -14,10 +14,8 @@ many workers execute the trials.
 from __future__ import annotations
 
 import concurrent.futures
-import csv
-import json
 import math
-from dataclasses import asdict, dataclass, fields, is_dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 
 import numpy as np
@@ -38,11 +36,6 @@ __all__ = [
     "run_topk_experiment",
     "run_localization",
     "run_figure1_profile",
-    "write_summary_csv",
-    "write_figure1_csv",
-    "write_csv",
-    "write_json_mirror",
-    "json_text",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -494,61 +487,3 @@ def run_figure1_profile(
         out["models"][name] = entry
     return out
 
-
-# ---------------------------------------------------------------- output
-
-
-def write_csv(path, header, rows) -> None:
-    """Write a header and row sequences as CSV; floats keep every digit (repr)."""
-    with open(path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows([repr(v) if isinstance(v, float) else str(v) for v in row] for row in rows)
-
-
-def write_summary_csv(rows: list[SummaryRow] | list[LocalizationRow], path) -> None:
-    """Write SummaryRow or LocalizationRow records; header names match the dataclass fields."""
-    if not rows:
-        raise ValueError("no rows to write")
-    records = [asdict(row) for row in rows]
-    write_csv(path, list(records[0]), (record.values() for record in records))
-
-
-def write_figure1_csv(profile: dict, path) -> None:
-    """Flatten a figure profile into (model, rank, node, true_degree, noisy_degree)."""
-    write_csv(
-        path,
-        ["model", "rank", "node", "true_degree", "noisy_degree"],
-        ((name, *row) for name, entry in profile["models"].items() for row in entry["rows"]),
-    )
-
-
-def _json_sanitize(obj):
-    if isinstance(obj, float):
-        if math.isnan(obj):
-            return "nan"
-        if math.isinf(obj):
-            return "inf" if obj > 0 else "-inf"
-        return obj
-    if isinstance(obj, dict):
-        return {key: _json_sanitize(val) for key, val in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_sanitize(val) for val in obj]
-    return obj
-
-
-def json_text(doc) -> str:
-    """Strict JSON text of doc with sorted keys; non-finite floats become 'nan'/'inf'/'-inf'."""
-    return json.dumps(_json_sanitize(doc), indent=2, sort_keys=True, allow_nan=False) + "\n"
-
-
-def write_json_mirror(path, meta: dict, rows) -> None:
-    """JSON companion to a CSV: {'meta': ..., 'rows': [...]} with stable keys.
-
-    Non-finite floats become the strings 'nan'/'inf'/'-inf' so the file
-    is strict JSON.
-    """
-    if rows and is_dataclass(rows[0]):
-        rows = [asdict(row) for row in rows]
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(json_text({"meta": meta, "rows": rows}))

@@ -22,6 +22,7 @@ from noisytopk import (
     er_noise_variance_proxy,
     evec_bound,
     evec_gap_check,
+    evec_report,
     generate_er,
     hamming,
     hamming_bounds_realization,
@@ -33,8 +34,8 @@ from noisytopk import (
     tail_envelope,
     top_k,
 )
-from noisytopk import Graph, apply_noise, json_text, save_edge_list
-from noisytopk.cli import main
+from noisytopk import Graph, apply_noise, save_edge_list
+from noisytopk.cli import _json_text, main
 from conftest import default_i_star_scan, normal_cdf_quadrature
 
 
@@ -617,10 +618,15 @@ class TestClassifyRegime:
         assert classify_regime(self._sep(False, True, False), self._inf(False, False)) == "indeterminate"
 
 
+def _full_report(g, k, params):
+    """bound_report of g's degrees with the evec section of g's solved top-2 pair, as the bounds command builds it."""
+    return {**bound_report(g.degree_array(), k=k, params=params), "evec": evec_report(spectral_top2(g), k, params)}
+
+
 class TestBoundReport:
     def test_json_ready_and_labeled(self):
         g = generate_er(80, 0.2, seed=6)
-        report = bound_report(g.degree_array(), k=5, params=NoiseParams(0.05, 0.05), spectral=spectral_top2(g))
+        report = _full_report(g, 5, NoiseParams(0.05, 0.05))
         text = json.dumps(report)
         assert "leading-order" in report["note"]
         parsed = json.loads(text)
@@ -647,7 +653,7 @@ class TestBoundReport:
     def test_section_keys(self):
         # each section is built from its record, so a field added to a record must change these pins
         g = generate_er(80, 0.2, seed=6)
-        report = bound_report(g.degree_array(), k=5, params=NoiseParams(0.05, 0.05), spectral=spectral_top2(g))
+        report = _full_report(g, 5, NoiseParams(0.05, 0.05))
         assert sorted(report) == (
             "alpha beta c1 c_of_n delta evec i_star infeasibility k n note num_edges regime separation tail_envelope"
         ).split()
@@ -686,14 +692,9 @@ class TestBoundReport:
         src, dst = tmp_path / "g.txt", tmp_path / "report.json"
         save_edge_list(g, src)
         assert main(["bounds", "--in", str(src), "--k", "4", "--alpha", "0.03", "--beta", "0.05", "--out", str(dst)]) == 0
-        report = bound_report(g.degree_array(), k=4, params=NoiseParams(0.03, 0.05), spectral=spectral_top2(g))
+        report = _full_report(g, 4, NoiseParams(0.03, 0.05))
         assert report["evec"] is not None
-        assert json_text(report) == dst.read_text(encoding="ascii")
-
-    def test_spectral_pair_of_another_size_rejected(self):
-        g = generate_er(40, 0.3, seed=2)
-        with pytest.raises(ValueError, match="spectral pair has 5 entries, degrees have 40"):
-            bound_report(g.degree_array(), k=4, params=NoiseParams(0.02, 0.02), spectral=spectral_top2(STAR))
+        assert _json_text(report) == dst.read_text(encoding="ascii")
 
     def test_odd_degree_sum_rejected(self):
         with pytest.raises(ValueError, match="even sum, got 13"):

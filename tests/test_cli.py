@@ -5,14 +5,28 @@ import importlib.util
 import json
 import math
 import os
+import string
+import struct
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from noisytopk import __version__, cli
-from noisytopk.cli import build_parser, main
+from noisytopk import (
+    ExperimentConfig,
+    LocalizationRow,
+    NoiseSchedule,
+    SummaryRow,
+    __version__,
+    cli,
+    run_localization,
+    run_topk_experiment,
+)
+from noisytopk.cli import _json_text, build_parser, main, write_json_mirror, write_summary_csv
 from noisytopk.experiments import MODELS
 from noisytopk.graphs import STREAM_VERSION, load_edge_list
 from conftest import edge_set
@@ -134,6 +148,11 @@ class TestOptionSurface:
             ["experiment", "{d}/cfg.ini", "--threads", "0"],
             ["experiment", "{d}/cfg.ini", "--threads", "-2"],
             ["experiment", "{d}/cfg.ini", "--threads", "two"],
+            # solver flags are checked when parsed, also where no eigensolve runs
+            ["centrality", "--in", "{d}/g.txt", "--kind", "degree", "--max-iter", "-3"],
+            ["centrality", "--in", "{d}/g.txt", "--max-iter", "0"],
+            ["bounds", "--in", "{d}/g.txt", "--k", "3", "--alpha", "0", "--beta", "0", "--tol", "-1"],
+            ["bounds", "--in", "{d}/g.txt", "--k", "3", "--alpha", "0", "--beta", "0", "--tol", "nan"],
         ],
     )
     def test_unregistered_or_missing_flag_is_usage_error(self, tmp_path, argv):
@@ -370,6 +389,32 @@ class TestBounds:
         code = main(["bounds", "--in", str(src), "--k", "3", "--alpha", "0.7", "--beta", "0.5"])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--k", "0"],
+            ["--i-star", "2"],
+            ["--delta", "1.5"],
+            ["--c1", "0"],
+            ["--c-of-n", "-1"],
+            ["--alpha", "0.6", "--beta", "0.5"],
+            [],  # valid: the solve runs once
+        ],
+    )
+    def test_arguments_are_checked_before_the_eigensolve(self, tmp_path, monkeypatch, flags):
+        src = _write_graph(tmp_path)
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        solve = cli.spectral_top2
+        monkeypatch.setattr(cli, "spectral_top2", spy)
+        argv = ["bounds", "--in", str(src), "--k", "3", "--alpha", "0.05", "--beta", "0.05", *flags, "--quiet"]
+        code = main([*argv, "--out", str(tmp_path / "report.json")])
+        assert (code, len(calls)) == ((2, 0) if flags else (0, 1))
+
     def test_exhausted_solver_budget_is_runtime_error(self, tmp_path, capsys):
         src = _write_graph(tmp_path, n=200, p=0.25)
         dst = tmp_path / "report.json"
@@ -501,6 +546,193 @@ class TestExperiment:
         assert base.with_suffix(".csv").exists() and base.with_suffix(".json").exists()
 
 
+class TestWriters:
+    def _summary_row(self):
+        return SummaryRow(
+            x_value=0.1 + 0.2,
+            n=100,
+            alpha=0.1,
+            beta=0.05,
+            mean_half_hamming=1.5,
+            se_half_hamming=0.1,
+            mean_lower_bound=1.0,
+            se_lower_bound=0.05,
+            mean_upper_bound=2.0,
+            se_upper_bound=0.07,
+            exp_lower_bound=1.1,
+            se_exp_lower_bound=0.02,
+            exp_upper_bound=1.9,
+            se_exp_upper_bound=0.03,
+            theory_lower=math.nan,
+            exact_recovery_rate=0.5,
+            se_exact_recovery=0.01,
+            jaccard_degree=0.9,
+            se_jaccard_degree=0.02,
+            jaccard_evec=math.nan,
+            se_jaccard_evec=math.nan,
+            n_graphs=10,
+            n_draws=100,
+            n_excluded=0,
+            n_disconnected=1,
+        )
+
+    def test_summary_csv_header(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        cfg = ExperimentConfig(
+            model="er", model_params={"p": 0.3}, k=2, graphs_per_point=2, noise_draws_per_graph=2, seed_root=11,
+            alpha=NoiseSchedule(0.05), beta=NoiseSchedule(0.05), n_grid=(20, 40),
+        )
+        write_summary_csv([asdict(row) for row in run_topk_experiment(cfg)], path)
+        assert path.read_text().splitlines()[0].split(",") == [
+            "x_value", "n", "alpha", "beta",
+            "mean_half_hamming", "se_half_hamming",
+            "mean_lower_bound", "se_lower_bound",
+            "mean_upper_bound", "se_upper_bound",
+            "exp_lower_bound", "se_exp_lower_bound",
+            "exp_upper_bound", "se_exp_upper_bound",
+            "theory_lower",
+            "exact_recovery_rate", "se_exact_recovery",
+            "jaccard_degree", "se_jaccard_degree",
+            "jaccard_evec", "se_jaccard_evec",
+            "n_graphs", "n_draws", "n_excluded", "n_disconnected",
+        ]  # fmt: skip
+
+    def test_localization_csv_header(self, tmp_path):
+        path = tmp_path / "loc.csv"
+        write_summary_csv([asdict(row) for row in run_localization([30], reps=3, seed_root=1)], path)
+        assert path.read_text().splitlines()[0].split(",") == [
+            "n", "reps_used",
+            "x_h_mean", "x_h_se", "x_h_q10", "x_h_q50", "x_h_q90",
+            "m_out_mean", "m_out_se", "m_out_q10", "m_out_q50", "m_out_q90",
+            "gap_mean", "gap_se", "gap_q10", "gap_q50", "gap_q90",
+            "n_excluded", "n_hub_ties",
+        ]  # fmt: skip
+
+    def test_summary_csv_roundtrip(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        row = self._summary_row()
+        write_summary_csv([asdict(row)], path)
+        with open(path, newline="") as fh:
+            records = list(csv.DictReader(fh))
+        assert len(records) == 1
+        rec = records[0]
+        assert list(rec) == [f for f in row.__dataclass_fields__]
+        # repr-formatted floats survive the text roundtrip exactly
+        assert float(rec["x_value"]) == 0.1 + 0.2
+        assert rec["x_value"] == "0.30000000000000004"
+        assert math.isnan(float(rec["theory_lower"]))
+        assert rec["n"] == "100"
+
+    def test_empty_rows_rejected(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_summary_csv([], tmp_path / "empty.csv")
+
+    def test_localization_csv(self, tmp_path):
+        rows = run_localization([30], reps=5, seed_root=1)
+        path = tmp_path / "loc.csv"
+        write_summary_csv([asdict(row) for row in rows], path)
+        with open(path, newline="") as fh:
+            records = list(csv.DictReader(fh))
+        assert len(records) == 1
+        assert list(records[0]) == [f for f in LocalizationRow.__dataclass_fields__]
+
+    def test_figure1_csv(self, tmp_path):
+        cfg_path = tmp_path / "fig.ini"
+        cfg_path.write_text(
+            "[run]\ntype = figure1\n[model]\nn = 30\nmean_degree = 4\n"
+            "[noise]\nalpha = 0.0\nbeta = 0.0\n[mc]\nseed_root = 3\n"
+        )
+        base = tmp_path / "fig"
+        assert main(["experiment", str(cfg_path), "--out", str(base), "--quiet"]) == 0
+        with open(base.with_suffix(".csv"), newline="") as fh:
+            records = list(csv.DictReader(fh))
+        assert len(records) == 90
+        assert list(records[0]) == ["model", "rank", "node", "true_degree", "noisy_degree"]
+        assert {r["model"] for r in records} == {"er", "sw", "pa"}
+
+    def test_json_mirror(self, tmp_path):
+        path = tmp_path / "rows.json"
+        meta = {"experiment": "topk", "alpha": math.inf, "note": None}
+        write_json_mirror(path, meta, [asdict(self._summary_row())])
+        with open(path) as fh:
+            doc = json.load(fh)
+        assert doc["meta"]["experiment"] == "topk"
+        assert doc["meta"]["alpha"] == "inf"
+        assert doc["rows"][0]["theory_lower"] == "nan"
+        assert doc["rows"][0]["n"] == 100
+        text = path.read_text()
+        assert text.index('"meta"') < text.index('"rows"')
+
+    def test_json_mirror_plain_dict_rows(self, tmp_path):
+        path = tmp_path / "plain.json"
+        write_json_mirror(path, {"experiment": "figure1"}, [{"model": "er", "v": 1.0}])
+        with open(path) as fh:
+            doc = json.load(fh)
+        assert doc["rows"] == [{"model": "er", "v": 1.0}]
+
+
+_CELLS = st.one_of(
+    st.integers(-(2**63), 2**63),
+    st.text(string.ascii_letters + string.digits + ' ,"-.', max_size=8),
+    st.floats(allow_nan=False),  # includes -0.0, the infinities and subnormals
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.5e-308]),
+)
+
+
+@st.composite
+def _records(draw):
+    keys = draw(st.lists(st.text(string.ascii_letters + "_", min_size=1, max_size=6), min_size=1, max_size=5,
+                         unique=True))
+    rows = draw(st.lists(st.lists(_CELLS, min_size=len(keys), max_size=len(keys)), min_size=1, max_size=4))
+    return [dict(zip(keys, row)) for row in rows]
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+class TestWriterProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(records=_records())
+    def test_csv_keeps_keys_and_every_float_bit(self, tmp_path_factory, records):
+        path = tmp_path_factory.mktemp("csv") / "rows.csv"
+        write_summary_csv(records, path)
+        with open(path, newline="", encoding="ascii") as fh:
+            header, *lines = list(csv.reader(fh))
+        assert header == list(records[0])
+        assert len(lines) == len(records)
+        for record, line in zip(records, lines):
+            for value, text in zip(record.values(), line, strict=True):
+                if isinstance(value, float):
+                    assert _bits(float(text)) == _bits(value)
+                else:
+                    assert text == str(value)
+
+    @settings(max_examples=60, deadline=None)
+    @given(records=_records())
+    def test_json_is_strict_sorted_and_names_non_finite_floats(self, records):
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        def sorted_keys(node):
+            if isinstance(node, dict):
+                return list(node) == sorted(node) and all(map(sorted_keys, node.values()))
+            return all(map(sorted_keys, node)) if isinstance(node, list) else True
+
+        doc = json.loads(_json_text({"meta": {"z": math.nan, "a": -math.inf}, "rows": records}), parse_constant=reject)
+        assert sorted_keys(doc)
+        assert doc["meta"] == {"a": "-inf", "z": "nan"}
+        for record, loaded in zip(records, doc["rows"], strict=True):
+            assert loaded.keys() == record.keys()
+            for key, value in record.items():
+                if isinstance(value, float) and not math.isfinite(value):
+                    assert loaded[key] == ("nan" if math.isnan(value) else "inf" if value > 0 else "-inf")
+                elif isinstance(value, float):
+                    assert _bits(loaded[key]) == _bits(value)
+                else:
+                    assert loaded[key] == value
+
+
 def _no_study(*args, **kwargs):
     raise AssertionError("the study ran before --threads was checked")
 
@@ -622,16 +854,35 @@ class TestConfigKeys:
         assert [doc["meta"]["experiment"] for doc in docs] == ["jaccard", "topk"]
 
 
-def _bench_harness():
-    """The benchmark's harness workloads: name -> INI text and sizes (bench/workloads.py, read only)."""
-    spec = importlib.util.spec_from_file_location("bench_workloads", ROOT / "bench" / "workloads.py")
+def _bench_module(name: str):
+    """bench/<name>.py loaded read only, without installing anything it defines."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", ROOT / "bench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclasses look their module up while the file executes
     try:
         spec.loader.exec_module(module)
     finally:
         del sys.modules[spec.name]
-    return module.HARNESS
+    return module
+
+
+def _bench_harness():
+    """The benchmark's harness workloads: name -> INI text and sizes (bench/workloads.py, read only)."""
+    return _bench_module("workloads").HARNESS
+
+
+def test_bench_span_targets_resolve():
+    # the tracer skips a target the package no longer has, so a moved function would drop its span unnoticed;
+    # these three are known to be unresolved until the benchmark's targets are updated
+    unresolved = {
+        (module, attr) for module, attr, _ in _bench_module("spans").TARGETS
+        if getattr(importlib.import_module(module), attr, None) is None
+    }
+    assert unresolved == {
+        ("noisytopk.experiments", "degree_scores"),
+        ("noisytopk.bounds", "spectral_top2"),
+        ("noisytopk.cli", "run_jaccard_comparison"),
+    }
 
 
 class TestEveryConfigRuns:

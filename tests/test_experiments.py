@@ -1,9 +1,7 @@
 import ast
-import csv
 import dataclasses
 import inspect
 import itertools
-import json
 import math
 
 import numpy as np
@@ -13,7 +11,6 @@ from hypothesis import strategies as st
 
 from noisytopk import (
     ExperimentConfig,
-    LocalizationRow,
     NoiseParams,
     NoiseSchedule,
     SummaryRow,
@@ -26,9 +23,6 @@ from noisytopk import (
     run_figure1_profile,
     run_localization,
     run_topk_experiment,
-    write_figure1_csv,
-    write_json_mirror,
-    write_summary_csv,
     top_k,
 )
 from noisytopk import experiments
@@ -666,120 +660,3 @@ class TestSummarySchema:
         for before, name in zip([None, *names], names):
             sources = [name in own, name in returned, name.startswith("se_") and before in means]
             assert sources.count(True) == 1, name
-
-    def test_summary_csv_header(self, tmp_path):
-        path = tmp_path / "rows.csv"
-        write_summary_csv(run_topk_experiment(_base_cfg()), path)
-        assert path.read_text().splitlines()[0].split(",") == [
-            "x_value", "n", "alpha", "beta",
-            "mean_half_hamming", "se_half_hamming",
-            "mean_lower_bound", "se_lower_bound",
-            "mean_upper_bound", "se_upper_bound",
-            "exp_lower_bound", "se_exp_lower_bound",
-            "exp_upper_bound", "se_exp_upper_bound",
-            "theory_lower",
-            "exact_recovery_rate", "se_exact_recovery",
-            "jaccard_degree", "se_jaccard_degree",
-            "jaccard_evec", "se_jaccard_evec",
-            "n_graphs", "n_draws", "n_excluded", "n_disconnected",
-        ]  # fmt: skip
-
-    def test_localization_csv_header(self, tmp_path):
-        path = tmp_path / "loc.csv"
-        write_summary_csv(run_localization([30], reps=3, seed_root=1), path)
-        assert path.read_text().splitlines()[0].split(",") == [
-            "n", "reps_used",
-            "x_h_mean", "x_h_se", "x_h_q10", "x_h_q50", "x_h_q90",
-            "m_out_mean", "m_out_se", "m_out_q10", "m_out_q50", "m_out_q90",
-            "gap_mean", "gap_se", "gap_q10", "gap_q50", "gap_q90",
-            "n_excluded", "n_hub_ties",
-        ]  # fmt: skip
-
-
-class TestWriters:
-    def _summary_row(self):
-        return SummaryRow(
-            x_value=0.1 + 0.2,
-            n=100,
-            alpha=0.1,
-            beta=0.05,
-            mean_half_hamming=1.5,
-            se_half_hamming=0.1,
-            mean_lower_bound=1.0,
-            se_lower_bound=0.05,
-            mean_upper_bound=2.0,
-            se_upper_bound=0.07,
-            exp_lower_bound=1.1,
-            se_exp_lower_bound=0.02,
-            exp_upper_bound=1.9,
-            se_exp_upper_bound=0.03,
-            theory_lower=math.nan,
-            exact_recovery_rate=0.5,
-            se_exact_recovery=0.01,
-            jaccard_degree=0.9,
-            se_jaccard_degree=0.02,
-            jaccard_evec=math.nan,
-            se_jaccard_evec=math.nan,
-            n_graphs=10,
-            n_draws=100,
-            n_excluded=0,
-            n_disconnected=1,
-        )
-
-    def test_summary_csv_roundtrip(self, tmp_path):
-        path = tmp_path / "rows.csv"
-        row = self._summary_row()
-        write_summary_csv([row], path)
-        with open(path, newline="") as fh:
-            records = list(csv.DictReader(fh))
-        assert len(records) == 1
-        rec = records[0]
-        assert list(rec) == [f for f in row.__dataclass_fields__]
-        # repr-formatted floats survive the text roundtrip exactly
-        assert float(rec["x_value"]) == 0.1 + 0.2
-        assert rec["x_value"] == "0.30000000000000004"
-        assert math.isnan(float(rec["theory_lower"]))
-        assert rec["n"] == "100"
-
-    def test_empty_rows_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            write_summary_csv([], tmp_path / "empty.csv")
-
-    def test_localization_csv(self, tmp_path):
-        rows = run_localization([30], reps=5, seed_root=1)
-        path = tmp_path / "loc.csv"
-        write_summary_csv(rows, path)
-        with open(path, newline="") as fh:
-            records = list(csv.DictReader(fh))
-        assert len(records) == 1
-        assert list(records[0]) == [f for f in LocalizationRow.__dataclass_fields__]
-
-    def test_figure1_csv(self, tmp_path):
-        profile = run_figure1_profile(n=30, mean_degree=4, noise=NoiseParams(0.0, 0.0), seed=3)
-        path = tmp_path / "fig.csv"
-        write_figure1_csv(profile, path)
-        with open(path, newline="") as fh:
-            records = list(csv.DictReader(fh))
-        assert len(records) == 90
-        assert list(records[0]) == ["model", "rank", "node", "true_degree", "noisy_degree"]
-        assert {r["model"] for r in records} == {"er", "sw", "pa"}
-
-    def test_json_mirror(self, tmp_path):
-        path = tmp_path / "rows.json"
-        meta = {"experiment": "topk", "alpha": math.inf, "note": None}
-        write_json_mirror(path, meta, [self._summary_row()])
-        with open(path) as fh:
-            doc = json.load(fh)
-        assert doc["meta"]["experiment"] == "topk"
-        assert doc["meta"]["alpha"] == "inf"
-        assert doc["rows"][0]["theory_lower"] == "nan"
-        assert doc["rows"][0]["n"] == 100
-        text = path.read_text()
-        assert text.index('"meta"') < text.index('"rows"')
-
-    def test_json_mirror_plain_dict_rows(self, tmp_path):
-        path = tmp_path / "plain.json"
-        write_json_mirror(path, {"experiment": "figure1"}, [{"model": "er", "v": 1.0}])
-        with open(path) as fh:
-            doc = json.load(fh)
-        assert doc["rows"] == [{"model": "er", "v": 1.0}]
