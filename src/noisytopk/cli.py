@@ -51,8 +51,12 @@ def _add_common(sub: argparse.ArgumentParser, out_required: bool = False) -> Non
     sub.add_argument("--quiet", action="store_true", help="suppress progress chatter")
 
 
+# defaults of the shared flags; centrality registers them as None to tell a given flag from an absent one
+_DEFAULTS = {"seed": 0, "tol": 1e-10, "max_iter": 10000}
+
+
 def _add_seed(sub: argparse.ArgumentParser, what: str) -> None:
-    sub.add_argument("--seed", type=int, default=0, help=f"{what} seed (default 0)")
+    sub.add_argument("--seed", type=int, default=_DEFAULTS["seed"], help=f"{what} seed (default 0)")
 
 
 def _positive_int(text: str) -> int:
@@ -70,11 +74,11 @@ def _nonnegative_float(text: str) -> float:
 
 def _add_solver(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
-        "--tol", type=_nonnegative_float, default=1e-10,
+        "--tol", type=_nonnegative_float, default=_DEFAULTS["tol"],
         help="ARPACK relative accuracy of the eigenvalues (default 1e-10; 0 means machine precision)",
     )
     sub.add_argument(
-        "--max-iter", type=_positive_int, default=10000,
+        "--max-iter", type=_positive_int, default=_DEFAULTS["max_iter"],
         help="ARPACK budget of Lanczos restarts; exhausting it exits 3 (default 10000)",
     )
 
@@ -111,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_seed(p_cen, "top-k tie-break")
     _add_solver(p_cen)
     _add_common(p_cen)
-    p_cen.set_defaults(func=cmd_centrality)
+    p_cen.set_defaults(func=cmd_centrality, **dict.fromkeys(_DEFAULTS))
 
     p_bnd = subs.add_parser("bounds", help="recovery / infeasibility report for an edge list")
     p_bnd.add_argument("--in", dest="input", type=str, required=True, help="input edge list")
@@ -169,7 +173,14 @@ def _nonconverged(args, residual: float) -> int:
 
 
 def cmd_centrality(args) -> int:
+    uses = {"seed": args.k is not None, "tol": args.kind != "degree", "max_iter": args.kind != "degree"}
+    if unused := [f"--{key.replace('_', '-')}" for key, use in uses.items() if not use and vars(args)[key] is not None]:
+        run = f"--kind {args.kind}{'' if uses['seed'] else ' without --k'}"
+        raise ValueError(f"centrality {run} does not use {', '.join(unused)}")
+    vars(args).update({key: default for key, default in _DEFAULTS.items() if vars(args)[key] is None})
     g = load_edge_list(args.input)
+    if args.k is not None and not 1 <= args.k <= g.n:  # checked before the eigensolve, as bounds does
+        raise ValueError(f"--k must lie in 1..n = {g.n}, got {args.k}")
     deg = g.degree_array()
     rows = [{"node": i, "degree": float(deg[i])} for i in range(g.n)]
     report: dict = {"n": g.n, "num_edges": g.num_edges}

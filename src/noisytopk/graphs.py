@@ -17,6 +17,8 @@ on a stream of its own (see STREAM_VERSION).  A dense graph keeps its absent
 pairs in the same row layout (2 bytes per absent pair).  Where only degrees
 are read, noisy_degree_array counts the endpoints of the same flips without
 building Y and is bit-identical to apply_noise(a, params, seed).degree_array().
+Preferential attachment draws each target of m >= 2 in O(1) from the list of earlier
+targets (Batagelj & Brandes, Phys. Rev. E 71, 036113, 2005), and of a tree from a Fenwick tree.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import TYPE_CHECKING, NoReturn
 
 import numpy as np
@@ -88,7 +91,8 @@ def _picked_counts(n: int, indptr: np.ndarray, cols: np.ndarray, picks: np.ndarr
 # Version of the random streams behind every seeded function.  Version 2 gives each
 # consumer of a seed its own SeedSequence spawn key (PA keeps the root one, as in
 # version 1), so equal seeds never correlate a graph with its noise; flips use skips.
-STREAM_VERSION = 2
+# Version 3 draws PA targets for m >= 2 from the list of earlier picks; PA trees (m = 1) are unchanged.
+STREAM_VERSION = 3
 _SPAWN_KEYS = {"pa": (), "er": (1,), "sw": (2,), "noise": (3,), "tiebreak": (4,)}
 
 
@@ -237,6 +241,10 @@ class PaParams:
     b: float
 
     def __post_init__(self):
+        for name in ("n", "m"):  # stored as Python ints: the generator reads n.bit_length()
+            if isinstance(value := getattr(self, name), bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.m < 1:
             raise ValueError(f"m must be a positive integer, got {self.m}")
         if self.n < self.m + 1:
@@ -346,13 +354,14 @@ def generate_pa(params: PaParams, seed: int) -> Graph:
     attaches to m distinct existing nodes, sampled sequentially without
     replacement with probability proportional to degree + b, where degrees
     are frozen at the start of step t (edges added within the step do not
-    update the weights).  Each draw descends a Fenwick tree of the weights
-    (Fenwick 1994), so a graph costs O(n * m * log n).  Every node weighs m + b
-    in it from the start, which is exact: step t reads only slots of nodes
-    below t, all arrived with degree m.  For b a multiple of a power of two
-    every partial sum is exact and the realization equals a cumulative-sum
-    scan's; otherwise a uniform within rounding of a weight boundary can pick
-    another node than a scan or a tree summed in another order would.
+    update the weights).  A node's weight is the m + b it arrived with plus
+    its picks so far, so for m >= 2 one uniform over the total falls on the
+    list of earlier picks or on a uniform node below t (Batagelj & Brandes,
+    Phys. Rev. E 71, 036113, 2005): O(n * m) per graph.  Trees (m = 1) keep
+    the stream of versions 1 and 2: each draw descends a Fenwick tree of the
+    weights (Fenwick 1994), which equals a cumulative-sum scan for b a multiple
+    of a power of two; for other b a uniform within rounding of a weight
+    boundary can pick another node than a scan summed in another order.
 
     Args:
         params: node count n, edges per new node m, attachment offset b > -1.
@@ -363,30 +372,36 @@ def generate_pa(params: PaParams, seed: int) -> Graph:
     """
     n, m, b = params.n, params.m, params.b
     rng = _stream_rng(seed, "pa")
-    # Fenwick slot i sums the weights of nodes i - (i & -i) .. i - 1, so no arrival updates the tree
-    tree = [(m + b) * (i & -i) for i in range(n + 1)]
-    powers = [1 << e for e in range(n.bit_length() - 1, -1, -1)]
-    total, uniforms, targets = (m + 1) * (m + b), [], []
-    for t in range(m + 1, n):
-        levels = powers[len(powers) - t.bit_length() :]  # every higher level would fail k < t
-        chosen: list[int] = []
-        while len(chosen) < m:  # rejecting repeats samples without replacement
-            if not uniforms:
-                uniforms = rng.random(4096).tolist()
-                uniforms.reverse()
-            x, j, acc = uniforms.pop() * total, 0, 0.0
-            for step in levels:  # compare exact prefix sums with x (subtracting from x would round); stay below t
+    draws = chain.from_iterable(rng.random(4096).tolist() for _ in repeat(None))
+    targets: list[int] = []
+    if m == 1:
+        # Fenwick slot i sums the weights of nodes i - (i & -i) .. i - 1, so no arrival updates the tree
+        tree = [(1 + b) * (i & -i) for i in range(n + 1)]
+        powers = [1 << e for e in range(n.bit_length() - 1, -1, -1)]
+        total = 2 * (1 + b)
+        for t in range(2, n):
+            x, j, acc = next(draws) * total, 0, 0.0
+            for step in powers[len(powers) - t.bit_length() :]:  # every higher level would fail k < t
+                # compare exact prefix sums with x (subtracting from x would round); stay below t
                 if (k := j + step) < t and (s := acc + tree[k]) <= x:
                     j, acc = k, s
-            if j not in chosen:
-                chosen.append(j)
-        for k in chosen:
-            k += 1
+            targets.append(j)
+            k = j + 1
             while k <= n:
                 tree[k] += 1.0
                 k += k & -k
-        total += 2 * m + b
-        targets += chosen
+            total += 2 + b
+    else:
+        base = m + b  # above -1 + m >= 1: every node's weight before its picks
+        for t in range(m + 1, n):
+            total = (size := len(targets)) + base * t
+            chosen: list[int] = []
+            while len(chosen) < m:  # rejecting repeats samples without replacement
+                x = next(draws) * total
+                j = targets[int(x)] if x < size else min(int((x - size) / base), t - 1)  # min: rounding at the top
+                if j not in chosen:
+                    chosen.append(j)
+            targets += chosen
     rest = np.column_stack([np.array(targets, dtype=np.int64), np.repeat(np.arange(m + 1, n), m)])
     return Graph(n, np.concatenate([np.column_stack(np.triu_indices(m + 1, k=1)), rest]))
 

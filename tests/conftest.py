@@ -134,12 +134,15 @@ def dense_noise(g: Graph, params: NoiseParams, rng: np.random.Generator) -> Grap
 
 
 def dense_pa(params: PaParams, seed: int) -> Graph:
-    """Reference preferential attachment: a fresh cumulative sum of deg + b per arrival.
+    """Reference preferential attachment trees: a fresh cumulative sum of deg + b per arrival.
 
     Draws one scalar uniform per attempt from the same stream as
     generate_pa and takes the first node whose cumulative weight exceeds
-    u * total, rejecting repeats within a step.  This costs O(n**2), so it
-    only checks the library's sampler on small and medium n.
+    u * total, rejecting repeats within a step.  That is generate_pa's stream
+    for m = 1, which it is the oracle for; for m >= 2 it is stream version 2,
+    which generate_pa left for the list of earlier targets in version 3.
+    This costs O(n**2), so it only checks the library's sampler on small and
+    medium n.
     """
     n, m, b = params.n, params.m, params.b
     rng = _stream_rng(seed, "pa")

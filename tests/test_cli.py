@@ -161,6 +161,23 @@ class TestOptionSurface:
         assert exc.value.code == 2
         assert not (tmp_path / "g.txt").exists()
 
+    # centrality registers --seed, --tol and --max-iter for the runs that use them; any other run refuses them
+    @pytest.mark.parametrize(
+        "flags, unused",
+        [
+            (["--kind", "degree", "--tol", "5", "--max-iter", "7", "--seed", "4"], "--seed, --tol, --max-iter"),
+            (["--kind", "degree", "--k", "3", "--tol", "1e-8"], "--tol"),
+            (["--kind", "degree", "--k", "3", "--max-iter", "50"], "--max-iter"),
+            (["--kind", "both", "--seed", "1"], "--seed"),
+            (["--kind", "eigenvector", "--seed", "0"], "--seed"),
+        ],
+    )
+    def test_centrality_flag_the_run_does_not_use_is_usage_error(self, tmp_path, capsys, flags, unused):
+        src, dst = _write_graph(tmp_path), tmp_path / "scores.csv"
+        assert main(["centrality", "--in", str(src), *flags, "--out", str(dst)]) == 2
+        assert capsys.readouterr().err.endswith(f"does not use {unused}\n")
+        assert not dst.exists()
+
 
 class TestGenerate:
     def test_writes_edge_list(self, tmp_path):
@@ -330,6 +347,32 @@ class TestCentrality:
         assert code == 0
         with open(dst, newline="") as fh:
             assert len(list(csv.DictReader(fh))) == 30
+
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--k", "0"],
+            ["--k", "31"],  # n = 30
+            ["--k", "-2"],
+            ["--kind", "eigenvector", "--tol", "1e-8", "--seed", "3"],  # --seed without --k
+            ["--k", "30", "--seed", "3", "--tol", "1e-8", "--max-iter", "500"],  # valid: the solve runs once
+        ],
+    )
+    def test_arguments_are_checked_before_the_eigensolve(self, tmp_path, monkeypatch, flags):
+        src = _write_graph(tmp_path)
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs)
+            return solve(*args, **kwargs)
+
+        solve = cli.spectral_top2
+        monkeypatch.setattr(cli, "spectral_top2", spy)
+        code = main(["centrality", "--in", str(src), *flags, "--quiet", "--out", str(tmp_path / "scores.csv")])
+        valid = "30" in flags
+        assert (code, calls) == ((0, [{"tol": 1e-8, "max_iter": 500}]) if valid else (2, []))
+        assert (tmp_path / "scores.csv").exists() == valid
 
 
 class TestBounds:

@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import io
+import itertools
 import math
 import pickle
 import time
@@ -240,6 +241,31 @@ class TestErdosRenyi:
             generate_er(5, -0.1, seed=0)
 
 
+def _exact_pa_law(n: int, m: int, b: float) -> dict[bytes, float]:
+    """Probability of every PA graph on n nodes, keyed by its linear pair indices' bytes.
+
+    Each arrival t takes m of the nodes below t one after another, each with probability deg + b over
+    the weight of the nodes not yet taken, degrees frozen at the start of the step: a sum over orders.
+    """
+    paths = {(): (1.0, [m] * (m + 1))}  # the arrivals' target sets so far -> (probability, degrees)
+    for t in range(m + 1, n):
+        grown: dict = {}
+        for sets, (p, deg) in paths.items():
+            for order in itertools.permutations(range(t), m):
+                q, left = p, sum(deg) + b * t
+                for j in order:
+                    q, left = q * (deg[j] + b) / left, left - deg[j] - b
+                key = (*sets, frozenset(order))
+                new_deg = [d + (j in order) for j, d in enumerate(deg)] + [m]
+                grown[key] = (grown.get(key, (0.0,))[0] + q, new_deg)
+        paths = grown
+    law = {}
+    for sets, (p, _) in paths.items():
+        edges = [*itertools.combinations(range(m + 1), 2), *((j, t) for t, s in enumerate(sets, m + 1) for j in s)]
+        law[Graph(n, edges).edge_linear_indices().tobytes()] = p
+    return law
+
+
 class TestPreferentialAttachment:
     def test_seed_clique_only(self):
         g = generate_pa(PaParams(n=4, m=3, b=1.0), seed=0)
@@ -279,6 +305,11 @@ class TestPreferentialAttachment:
             PaParams(n=5, m=0, b=1.0)
         with pytest.raises(ValueError):
             PaParams(n=5, m=1, b=-1.0)
+        for name, n, m in [("m", 10, 2.0), ("m", 10, True), ("n", 10.0, 2), ("n", np.True_, 1), ("m", 10, "2")]:
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                PaParams(n=n, m=m, b=1.0)
+        params = PaParams(n=np.int64(10), m=np.int32(1), b=1.0)  # numpy integers are stored as Python ints
+        assert (type(params.n), type(params.m)) == (int, int) and generate_pa(params, 0).num_edges == 9
 
     @pytest.mark.parametrize("b", [math.inf, -math.inf, math.nan, 1e307])
     def test_rejects_non_finite_total_weight(self, b):
@@ -286,37 +317,91 @@ class TestPreferentialAttachment:
         with pytest.raises(ValueError, match="finite"):
             PaParams(n=100, m=2, b=b)
 
+    # trees (m = 1) keep the Fenwick stream of versions 1 and 2, which the cumulative-sum scan draws too;
     # powers of two and their neighbours put the Fenwick descent's top bit on its edge
     @settings(max_examples=200, deadline=None)
     @given(
         n=st.one_of(st.integers(2, 300), st.sampled_from([2**e + d for e in range(1, 9) for d in (-1, 0, 1)])),
-        m=st.integers(1, 8),
         b=st.sampled_from([-0.75, -0.5, 0.0, 0.5, 1.0, 2.25, 3.5]),
         seed=st.integers(0, 2**63 - 1),
     )
-    def test_matches_cumsum_oracle(self, n, m, b, seed):
-        params = PaParams(n=max(n, m + 1), m=m, b=b)
+    def test_matches_cumsum_oracle(self, n, b, seed):
+        params = PaParams(n=max(n, 2), m=1, b=b)
         assert np.array_equal(generate_pa(params, seed).edges, dense_pa(params, seed).edges)
 
     @pytest.mark.parametrize("seed", [0, 20201])
     def test_matches_cumsum_oracle_at_ten_thousand_nodes(self, seed):
-        params = PaParams(n=10_000, m=5, b=1.0)
+        params = PaParams(n=10_000, m=1, b=1.0)
         assert np.array_equal(generate_pa(params, seed).edges, dense_pa(params, seed).edges)
 
-    # SHA-256 of the little-endian edge bytes of stream version 2, on which criterion 7 and every bundled
-    # output depend, pinned without the oracle (the first is criterion 7's first n=2000 tree, seed
-    # derive_seed(97001, 1, 3, 0); n=2000, m=3 and n=10**4, m=5 are the benchmark's sizes)
+    # m >= 2 draws another stream than the scan, so its law is checked instead: every graph on n = m + 3
+    # nodes against its exact probability under sequential weighted draws without replacement
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("b", [-0.5, 0.0, 1.0, 2.25])
+    def test_every_small_graph_has_its_exact_probability(self, m, b):
+        n, reps = m + 3, 4000
+        law = _exact_pa_law(n, m, b)
+        assert len(law) == math.comb(m + 1, m) * math.comb(m + 2, m) and math.isclose(sum(law.values()), 1.0)
+        counts = dict.fromkeys(law, 0)
+        for seed in range(reps):
+            counts[generate_pa(PaParams(n, m, b), seed).edge_linear_indices().tobytes()] += 1  # KeyError off the law
+        for key, p in law.items():
+            assert abs(counts[key] / reps - p) <= 4 * math.sqrt(p * (1 - p) / reps), (m, b, key, counts[key], p)
+
+    # a small graph's law barely depends on b, so the attachment weights are checked on longer graphs too:
+    # at each arrival the degree sum of the m = 2 targets, against its exact conditional mean given the
+    # degrees before the arrival; the deviations are martingale differences, so their sum is about normal
+    @pytest.mark.parametrize("b", [-0.5, 0.0, 1.0, 2.25])
+    def test_targets_degree_sum_has_its_exact_conditional_mean(self, b):
+        n, dev, var = 40, 0.0, 0.0
+        for seed in range(300):
+            u, v = generate_pa(PaParams(n, 2, b), seed).edges.T
+            deg = np.bincount(np.concatenate([u[v <= 2], v[v <= 2]]), minlength=n).astype(float)
+            for t in range(3, n):
+                d = deg[:t]
+                w = d + b
+                pair = (w / w.sum())[:, None] * w / (w.sum() - w)[:, None]  # first i, then j
+                np.fill_diagonal(pair, 0.0)
+                x = d[:, None] + d  # degree sum of targets {i, j}; pair sums to one over i != j
+                mean = (pair * x).sum()
+                var += (pair * x * x).sum() - mean**2
+                dev += d[u[v == t]].sum() - mean
+                deg[u[v == t]] += 1
+                deg[t] = 2
+        assert abs(dev) <= 4 * math.sqrt(var), (b, dev / math.sqrt(var))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(2, 200),
+        m=st.integers(1, 8),
+        b=st.sampled_from([-0.75, -0.5, 0.0, 0.5, 1.0, 2.25, 3.5]),
+        seed=st.integers(0, 2**63 - 1),
+    )
+    def test_each_arrival_has_m_distinct_earlier_targets(self, n, m, b, seed):
+        params = PaParams(n=max(n, m + 1), m=m, b=b)
+        n = params.n
+        g = generate_pa(params, seed)
+        v = g.edges[:, 1]  # canonical rows, u < v: each arrival v is the larger end of its edges
+        assert g.num_edges == math.comb(m + 1, 2) + (n - m - 1) * m
+        assert np.array_equal(np.bincount(v, minlength=n)[m + 1 :], np.full(n - m - 1, m))
+        assert np.sum(v <= m) == math.comb(m + 1, 2)  # the seed clique
+        assert np.array_equal(generate_pa(params, seed).edge_linear_indices(), g.edge_linear_indices())
+
+    # SHA-256 of the little-endian edge bytes, pinned without the oracle.  The trees are stream versions 1
+    # to 3, on which criterion 7 depends (the first is criterion 7's first n=2000 tree, seed
+    # derive_seed(97001, 1, 3, 0)); m >= 2 is stream version 3, on which every bundled PA output depends
+    # (n=2000, m=3 and n=10**4, m=5 are the benchmark's sizes)
     @pytest.mark.parametrize(
         "n, m, b, seed, digest",
         [
             (2000, 1, 1.0, 5259533341410379210, "6ce1e3dbb6f5f130892d63dde835920917eafab321f07584ef2ea260b489458c"),
             (2000, 1, 1.0, 0, "00a67de62e99ce688abdd79bb9b6a15cbdbe0c1af06d08250930631d7d2a265f"),
-            (2000, 3, 1.0, 0, "3201fe691038c3a768eea3b4830c58e75acb7f84a12f35bb39095cef1cb39d89"),
-            (10_000, 5, 1.0, 0, "8875dcbc5b8dde52fd49b4c200c219b1261afe06c0cb57456a1f11d926262876"),
-            (257, 2, 0.5, 3, "773b13c25b40e45b9836e6a776f41e8df2310860613ca18911d8a1da968e5408"),
-            (300, 2, 0.5, 3, "f6c5cb67a10cf869f8f5c6910bb617462ae51acde9798fd6002d65368f4d025c"),
-            (257, 2, -0.5, 3, "bf605b47ce81997cf15d0239dc4e32298e7c77868bf9b4fba49cd971a6443996"),
-            (300, 2, -0.5, 3, "b1b4de8b625641ba1c0d702c984f331b26d75365ee6ff2c9bd0240e7da78acb7"),
+            (2000, 3, 1.0, 0, "3d8349622a683a5a28b655e7ac3b01032b5b95ae53109fd52edb6ff71f045815"),
+            (10_000, 5, 1.0, 0, "0b875ddbdba6bd51bfa766a670143ef17f5aae86a59522e6fbb7fc0c4e2c50f0"),
+            (257, 2, 0.5, 3, "e01c552b3e641b17552d9491cb552b1bd72676f119201ab822d302063a513a04"),
+            (300, 2, 0.5, 3, "d8d9a3331d607fc1376116c7f169007116bf110f859296e47eaa1438963b5936"),
+            (257, 2, -0.5, 3, "e3955e2d34ed3ef5d3b55c8ecd8561d22fe67297c0c2da00c94f884d6e850aeb"),
+            (300, 2, -0.5, 3, "82f404d14c1b45ba02bcdb3a32e569b24cd0b2bcfa2c97e67359404ff9f7da16"),
         ],
     )
     def test_stream_is_pinned(self, n, m, b, seed, digest):
