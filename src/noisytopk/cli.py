@@ -51,8 +51,8 @@ def _add_common(sub: argparse.ArgumentParser, out_required: bool = False) -> Non
     sub.add_argument("--quiet", action="store_true", help="suppress progress chatter")
 
 
-# defaults of the shared flags; centrality registers them as None to tell a given flag from an absent one
-_DEFAULTS = {"seed": 0, "tol": 1e-10, "max_iter": 10000}
+# defaults of the flags some runs do not use; such a subcommand registers them as None and calls _reject_unused
+_DEFAULTS = {"seed": 0, "tol": 1e-10, "max_iter": 10000, "format": "csv"}
 
 
 def _add_seed(sub: argparse.ArgumentParser, what: str) -> None:
@@ -73,14 +73,10 @@ def _nonnegative_float(text: str) -> float:
 
 
 def _add_solver(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--tol", type=_nonnegative_float, default=_DEFAULTS["tol"],
-        help="ARPACK relative accuracy of the eigenvalues (default 1e-10; 0 means machine precision)",
-    )
-    sub.add_argument(
-        "--max-iter", type=_positive_int, default=_DEFAULTS["max_iter"],
-        help="ARPACK budget of Lanczos restarts; exhausting it exits 3 (default 10000)",
-    )
+    sub.add_argument("--tol", type=_nonnegative_float,
+                     help="ARPACK relative accuracy of the eigenvalues (default 1e-10; 0 means machine precision)")
+    sub.add_argument("--max-iter", type=_positive_int,
+                     help="ARPACK budget of Lanczos restarts; exhausting it exits 3 (default 10000)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -111,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cen.add_argument("--in", dest="input", type=str, required=True, help="input edge list")
     p_cen.add_argument("--kind", choices=("degree", "eigenvector", "both"), default="both")
     p_cen.add_argument("--k", type=int, default=None, help="also report the top-k node sets")
-    p_cen.add_argument("--format", choices=("csv", "json"), default="csv", help="format of the --out table")
+    p_cen.add_argument("--format", choices=("csv", "json"), help="format of the --out table (default csv)")
     _add_seed(p_cen, "top-k tie-break")
     _add_solver(p_cen)
     _add_common(p_cen)
@@ -140,6 +136,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _reject_unused(args, run: str, **uses: bool) -> None:
+    """Exit 2 naming each given flag that uses marks unused by the run; fill the absent flags from _DEFAULTS."""
+    if unused := [f"--{key.replace('_', '-')}" for key, use in uses.items() if not use and vars(args)[key] is not None]:
+        raise ValueError(f"{run} does not use {', '.join(unused)}")
+    vars(args).update({key: _DEFAULTS[key] for key in uses if vars(args)[key] is None})
+
+
 def _say(args, message: str) -> None:
     if not args.quiet:
         print(message)
@@ -155,11 +158,13 @@ def cmd_generate(args) -> int:
 
 
 def cmd_perturb(args) -> int:
+    params = NoiseParams(alpha=args.alpha, beta=args.beta)  # a bad rate exits before the graph is read
     g = load_edge_list(args.input)
-    y = apply_noise(g, NoiseParams(alpha=args.alpha, beta=args.beta), args.seed)
+    y = apply_noise(g, params, args.seed)
     save_edge_list(y, args.out)
-    kept = np.intersect1d(g.edge_linear_indices(), y.edge_linear_indices(), assume_unique=True).size
-    _say(args, f"wrote {args.out}: edges={y.num_edges} added={y.num_edges - kept} deleted={g.num_edges - kept}")
+    if not args.quiet:  # the flip counts serve the progress line alone
+        kept = np.intersect1d(g.edge_linear_indices(), y.edge_linear_indices(), assume_unique=True).size
+        print(f"wrote {args.out}: edges={y.num_edges} added={y.num_edges - kept} deleted={g.num_edges - kept}")
     return EXIT_OK
 
 
@@ -173,48 +178,44 @@ def _nonconverged(args, residual: float) -> int:
 
 
 def cmd_centrality(args) -> int:
-    uses = {"seed": args.k is not None, "tol": args.kind != "degree", "max_iter": args.kind != "degree"}
-    if unused := [f"--{key.replace('_', '-')}" for key, use in uses.items() if not use and vars(args)[key] is not None]:
-        run = f"--kind {args.kind}{'' if uses['seed'] else ' without --k'}"
-        raise ValueError(f"centrality {run} does not use {', '.join(unused)}")
-    vars(args).update({key: default for key, default in _DEFAULTS.items() if vars(args)[key] is None})
+    evec = args.kind != "degree"
+    _reject_unused(args, f"centrality --kind {args.kind}",
+                   seed=args.k is not None, tol=evec, max_iter=evec, format=args.out is not None)
     g = load_edge_list(args.input)
     if args.k is not None and not 1 <= args.k <= g.n:  # checked before the eigensolve, as bounds does
         raise ValueError(f"--k must lie in 1..n = {g.n}, got {args.k}")
-    deg = g.degree_array()
-    rows = [{"node": i, "degree": float(deg[i])} for i in range(g.n)]
+    scores = {"degree": g.degree_array()}
     report: dict = {"n": g.n, "num_edges": g.num_edges}
 
-    if args.kind in ("eigenvector", "both"):
+    if evec:
         pair = spectral_top2(g, tol=args.tol, max_iter=args.max_iter)
         if not pair.converged:
             return _nonconverged(args, pair.residual)
-        for i in range(g.n):
-            rows[i]["eigenvector"] = float(pair.x[i])
+        scores["eigenvector"] = pair.x
         report.update(_fields(pair, "x", "converged", "residual"))
         if args.k is not None:
             report["topk_eigenvector"] = sorted(top_k(pair.x, args.k, args.seed).members)
-    if args.kind in ("degree", "both") and args.k is not None:
-        report["topk_degree"] = sorted(top_k(deg, args.k, args.seed).members)
+    if args.kind != "eigenvector" and args.k is not None:
+        report["topk_degree"] = sorted(top_k(scores["degree"], args.k, args.seed).members)
 
-    if args.out is None:
-        for key, val in report.items():
-            _say(args, f"{key}: {val}")
-        return EXIT_OK
-    if args.format == "json":
-        write_json_mirror(args.out, report, rows)
-    else:
-        write_summary_csv(rows, args.out)
-    _say(args, f"wrote {args.out}")
-    for key, val in report.items():
-        if not isinstance(val, list):
+    if args.out is not None:  # one row per node, so the table is built only to be written
+        columns = (col.astype(float).tolist() for col in scores.values())
+        rows = [dict(zip(("node", *scores), row)) for row in zip(range(g.n), *columns)]
+        if args.format == "json":
+            write_json_mirror(args.out, report, rows)
+        else:
+            write_summary_csv(rows, args.out)
+        _say(args, f"wrote {args.out}")
+    for key, val in report.items():  # stdout skips the top-k lists that a JSON table holds
+        if args.format != "json" or not isinstance(val, list):
             _say(args, f"{key}: {val}")
     return EXIT_OK
 
 
 def cmd_bounds(args) -> int:
+    _reject_unused(args, "bounds --no-evec", tol=not args.no_evec, max_iter=not args.no_evec)
+    params = NoiseParams(alpha=args.alpha, beta=args.beta)  # a bad rate exits before the graph is read
     g = load_edge_list(args.input)
-    params = NoiseParams(alpha=args.alpha, beta=args.beta)
     # the degree report checks every argument, so a bad one exits before the eigensolve
     report = bound_report(
         g.degree_array(), k=args.k, params=params, delta=args.delta, c1=args.c1, c_of_n=args.c_of_n, i_star=args.i_star

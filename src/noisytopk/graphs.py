@@ -372,7 +372,8 @@ def generate_pa(params: PaParams, seed: int) -> Graph:
     """
     n, m, b = params.n, params.m, params.b
     rng = _stream_rng(seed, "pa")
-    draws = chain.from_iterable(rng.random(4096).tolist() for _ in repeat(None))
+    # blocks of one uniform per target (at most 4096; repeats rejected for m >= 2 draw on): any split, same stream
+    draws = chain.from_iterable(rng.random(min((n - m - 1) * m, 4096)).tolist() for _ in repeat(None))
     targets: list[int] = []
     if m == 1:
         # Fenwick slot i sums the weights of nodes i - (i & -i) .. i - 1, so no arrival updates the tree

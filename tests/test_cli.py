@@ -2,6 +2,7 @@ import argparse
 import configparser
 import csv
 import importlib.util
+import itertools
 import json
 import math
 import os
@@ -177,6 +178,79 @@ class TestOptionSurface:
         assert main(["centrality", "--in", str(src), *flags, "--out", str(dst)]) == 2
         assert capsys.readouterr().err.endswith(f"does not use {unused}\n")
         assert not dst.exists()
+
+
+def _subsets(flags: dict) -> list[dict]:
+    return [dict(combo) for size in range(len(flags) + 1) for combo in itertools.combinations(flags.items(), size)]
+
+
+# the flags that a run of centrality or bounds may leave unused, at their default values
+CENTRALITY_DEFAULTS = {"--seed": "0", "--tol": "1e-10", "--max-iter": "10000", "--format": "csv"}
+BOUNDS_DEFAULTS = {"--tol": "1e-10", "--max-iter": "10000"}
+
+
+class TestUnusedFlags:
+    """Every combination of the conditional flags: a run exits 2 exactly when a given flag goes unused."""
+
+    @pytest.fixture(scope="class")
+    def graph(self, tmp_path_factory):
+        return _write_graph(tmp_path_factory.mktemp("unused"))
+
+    @pytest.fixture
+    def run(self, tmp_path, monkeypatch, capsys):
+        """Run argv; return its exit code, stdout, stderr, the bytes written to --out and the spied calls."""
+        calls = []
+        for name in ("load_edge_list", "spectral_top2"):
+            def spy(*args, _name=name, _real=getattr(cli, name), **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(cli, name, spy)
+
+        def run(argv, out):
+            calls.clear()
+            code = main(argv)
+            captured = capsys.readouterr()
+            written = out.read_bytes() if out is not None and out.exists() else None
+            if written is not None:
+                out.unlink()
+            return code, captured.out, captured.err, written, list(calls)
+
+        return run
+
+    @staticmethod
+    def _check(run, argv, given, used, out):
+        base = run(argv, out)
+        got = run([*argv, *(tok for item in given.items() for tok in item)], out)
+        if unused := [flag for flag in given if not used[flag]]:
+            assert got[0] == 2
+            assert got[2].endswith(f"does not use {', '.join(unused)}\n")
+            assert (got[3], got[4]) == (None, [])  # no file written, no graph read
+        else:
+            assert base[0] == 0
+            assert got == base
+
+    @pytest.mark.parametrize("given", _subsets(CENTRALITY_DEFAULTS), ids=lambda given: "+".join(given) or "none")
+    @pytest.mark.parametrize("out", [False, True], ids=["stdout", "out"])
+    @pytest.mark.parametrize("k", [None, "3"], ids=["no-k", "k"])
+    @pytest.mark.parametrize("kind", ["degree", "eigenvector", "both"])
+    def test_centrality(self, graph, run, tmp_path, kind, k, out, given):
+        dst = tmp_path / "scores.csv" if out else None
+        argv = ["centrality", "--in", str(graph), "--kind", kind, *(["--k", k] if k else []),
+                *(["--out", str(dst)] if out else [])]
+        used = {"--seed": k is not None, "--tol": kind != "degree", "--max-iter": kind != "degree", "--format": out}
+        self._check(run, argv, given, used, dst)
+        if k and not given:  # the top-k sets reach stdout with or without a CSV table, so --k and --seed are used
+            assert "topk_" in run(argv, dst)[1]
+
+    @pytest.mark.parametrize("given", _subsets(BOUNDS_DEFAULTS), ids=lambda given: "+".join(given) or "none")
+    @pytest.mark.parametrize("out", [False, True], ids=["stdout", "out"])
+    @pytest.mark.parametrize("no_evec", [False, True], ids=["evec", "no-evec"])
+    def test_bounds(self, graph, run, tmp_path, no_evec, out, given):
+        dst = tmp_path / "report.json" if out else None
+        argv = ["bounds", "--in", str(graph), "--k", "3", "--alpha", "0.05", "--beta", "0.05",
+                *(["--no-evec"] if no_evec else []), *(["--out", str(dst)] if out else [])]
+        self._check(run, argv, given, dict.fromkeys(BOUNDS_DEFAULTS, not no_evec), dst)
 
 
 class TestGenerate:
@@ -469,6 +543,26 @@ class TestBounds:
             assert code == 3
             assert "residual" in capsys.readouterr().err
             assert not dst.exists()
+
+
+@pytest.mark.parametrize("command", [["perturb", "--out", "{d}/y.txt"], ["bounds", "--k", "3", "--out", "{d}/y.txt"]])
+@pytest.mark.parametrize("rates", [["--alpha", "2", "--beta", "0"], ["--alpha", "0", "--beta", "-0.1"]])
+def test_bad_rate_exits_before_the_graph_is_read(tmp_path, monkeypatch, capsys, command, rates):
+    reads = []
+    monkeypatch.setattr(cli, "load_edge_list", reads.append)
+    argv = [arg.format(d=tmp_path) for arg in command]
+    assert main([*argv, "--in", str(tmp_path / "absent.txt"), *rates]) == 2  # not 3 for the missing file
+    assert "must lie in [0, 1]" in capsys.readouterr().err
+    assert reads == [] and not (tmp_path / "y.txt").exists()
+
+
+def test_quiet_perturb_writes_the_same_graph(tmp_path, capsys):
+    src = _write_graph(tmp_path)
+    for name, quiet in (("loud.txt", []), ("quiet.txt", ["--quiet"])):
+        assert main(["perturb", "--in", str(src), "--alpha", "0.1", "--beta", "0.2", "--out", str(tmp_path / name),
+                     *quiet]) == 0
+    assert capsys.readouterr().out.count("\n") == 1  # the progress line of the loud run alone
+    assert (tmp_path / "loud.txt").read_bytes() == (tmp_path / "quiet.txt").read_bytes()
 
 
 class TestExperiment:
