@@ -1,14 +1,14 @@
 """Command line interface.
 
-Subcommands: generate, perturb, centrality, bounds, experiment.
-Exit codes: 0 success, 2 usage or validation error, 3 runtime failure
-(I/O problems, exhausted solver budgets).
+Subcommands generate, perturb, centrality, bounds and experiment keep one
+contract, set in main: exit 0 on success; 2 on a usage or value error (a
+flag's type or range, an unused flag, a bad rate, --k or config value); 3 on
+a runtime failure (a missing --out directory, an I/O error, an eigensolve
+that exhausts --max-iter).  --quiet hides the "wrote ..." line alone.  Check
+order: parser, --out's directory, graph-dependent --k and --i-star, eigensolve.
 
-Experiment runs are driven by a key=value config file with sections
-(configparser syntax); KEYS lists the keys each run type reads, and any
-other key exits 2.  Data outputs are deterministic for a fixed seed: wall
-time and the source version are printed to stdout, never written into the
-output files.
+Experiment configs use configparser syntax with the keys in KEYS.  Outputs
+depend on the inputs alone: wall time and the source version go to stdout.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import configparser
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -48,15 +49,21 @@ EXIT_RUNTIME = 3
 
 def _add_common(sub: argparse.ArgumentParser, out_required: bool = False) -> None:
     sub.add_argument("--out", type=str, required=out_required, help="output path (or base path)")
-    sub.add_argument("--quiet", action="store_true", help="suppress progress chatter")
+    sub.add_argument("--quiet", action="store_true", help="do not print the 'wrote ...' line")
 
 
 # defaults of the flags some runs do not use; such a subcommand registers them as None and calls _reject_unused
 _DEFAULTS = {"seed": 0, "tol": 1e-10, "max_iter": 10000, "format": "csv"}
 
 
+def _seed(text: str) -> int:
+    if not text.isdigit():
+        raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, got {text}")
+    return int(text)
+
+
 def _add_seed(sub: argparse.ArgumentParser, what: str) -> None:
-    sub.add_argument("--seed", type=int, default=_DEFAULTS["seed"], help=f"{what} seed (default 0)")
+    sub.add_argument("--seed", type=_seed, default=_DEFAULTS["seed"], help=f"{what} seed (default 0)")
 
 
 def _positive_int(text: str) -> int:
@@ -143,21 +150,16 @@ def _reject_unused(args, run: str, **uses: bool) -> None:
     vars(args).update({key: _DEFAULTS[key] for key in uses if vars(args)[key] is None})
 
 
-def _say(args, message: str) -> None:
-    if not args.quiet:
-        print(message)
-
-
-def cmd_generate(args) -> int:
+def cmd_generate(args) -> None:
     # every model's flags are registered; make_graph rejects those of another model
     given = {key: getattr(args, key) for table in MODELS.values() for key in table if getattr(args, key) is not None}
     g = make_graph(args.model, given, args.n, args.seed)
     save_edge_list(g, args.out)
-    _say(args, f"wrote {args.out}: n={g.n} edges={g.num_edges} mean_degree={2 * g.num_edges / g.n:.4f}")
-    return EXIT_OK
+    if not args.quiet:
+        print(f"wrote {args.out}: n={g.n} edges={g.num_edges} mean_degree={2 * g.num_edges / g.n:.4f}")
 
 
-def cmd_perturb(args) -> int:
+def cmd_perturb(args) -> None:
     params = NoiseParams(alpha=args.alpha, beta=args.beta)  # a bad rate exits before the graph is read
     g = load_edge_list(args.input)
     y = apply_noise(g, params, args.seed)
@@ -165,19 +167,21 @@ def cmd_perturb(args) -> int:
     if not args.quiet:  # the flip counts serve the progress line alone
         kept = np.intersect1d(g.edge_linear_indices(), y.edge_linear_indices(), assume_unique=True).size
         print(f"wrote {args.out}: edges={y.num_edges} added={y.num_edges - kept} deleted={g.num_edges - kept}")
-    return EXIT_OK
 
 
-def _nonconverged(args, residual: float) -> int:
-    print(
-        f"error: eigenvector solve did not converge in {args.max_iter} Lanczos restarts "
-        f"(residual {residual:.3e})",
-        file=sys.stderr,
-    )
-    return EXIT_RUNTIME
+class _NotConverged(Exception):
+    """An eigensolve that exhausted --max-iter; main exits 3 on it, as on an I/O error."""
 
 
-def cmd_centrality(args) -> int:
+def _solve_top2(g, args):
+    pair = spectral_top2(g, tol=args.tol, max_iter=args.max_iter)
+    if not pair.converged:
+        raise _NotConverged(f"eigenvector solve did not converge in {args.max_iter} Lanczos restarts "
+                            f"(residual {pair.residual:.3e})")
+    return pair
+
+
+def cmd_centrality(args) -> None:
     evec = args.kind != "degree"
     _reject_unused(args, f"centrality --kind {args.kind}",
                    seed=args.k is not None, tol=evec, max_iter=evec, format=args.out is not None)
@@ -188,9 +192,7 @@ def cmd_centrality(args) -> int:
     report: dict = {"n": g.n, "num_edges": g.num_edges}
 
     if evec:
-        pair = spectral_top2(g, tol=args.tol, max_iter=args.max_iter)
-        if not pair.converged:
-            return _nonconverged(args, pair.residual)
+        pair = _solve_top2(g, args)
         scores["eigenvector"] = pair.x
         report.update(_fields(pair, "x", "converged", "residual"))
         if args.k is not None:
@@ -205,34 +207,29 @@ def cmd_centrality(args) -> int:
             write_json_mirror(args.out, report, rows)
         else:
             write_summary_csv(rows, args.out)
-        _say(args, f"wrote {args.out}")
-    for key, val in report.items():  # stdout skips the top-k lists that a JSON table holds
-        if args.format != "json" or not isinstance(val, list):
-            _say(args, f"{key}: {val}")
-    return EXIT_OK
+        if not args.quiet:
+            print(f"wrote {args.out}")
+    for key, val in report.items():
+        print(f"{key}: {val}")
 
 
-def cmd_bounds(args) -> int:
+def cmd_bounds(args) -> None:
     _reject_unused(args, "bounds --no-evec", tol=not args.no_evec, max_iter=not args.no_evec)
     params = NoiseParams(alpha=args.alpha, beta=args.beta)  # a bad rate exits before the graph is read
     g = load_edge_list(args.input)
-    # the degree report checks every argument, so a bad one exits before the eigensolve
     report = bound_report(
         g.degree_array(), k=args.k, params=params, delta=args.delta, c1=args.c1, c_of_n=args.c_of_n, i_star=args.i_star
     )
     if not args.no_evec:
-        pair = spectral_top2(g, tol=args.tol, max_iter=args.max_iter)
-        if not pair.converged:
-            return _nonconverged(args, pair.residual)
-        report["evec"] = evec_report(pair, args.k, params)
+        report["evec"] = evec_report(_solve_top2(g, args), args.k, params)
     text = _json_text(report)
     if args.out is None:
         sys.stdout.write(text)
     else:
         with open(args.out, "w", encoding="ascii") as fh:
             fh.write(text)
-        _say(args, f"wrote {args.out}: regime={report['regime']}")
-    return EXIT_OK
+        if not args.quiet:
+            print(f"wrote {args.out}: regime={report['regime']}")
 
 
 # ------------------------------------------------------- experiment config
@@ -356,7 +353,7 @@ def git_describe() -> str:
     return out.stdout.strip() or "unknown"
 
 
-def cmd_experiment(args) -> int:
+def cmd_experiment(args) -> None:
     run_type, v, cp = _read_config(args.config)
     if args.threads > 1 and run_type in ("localization", "figure1"):  # only the topk harness maps over workers
         raise ValueError(f"{args.config}: --threads applies to topk and jaccard runs, not to a {run_type} run")
@@ -410,7 +407,6 @@ def cmd_experiment(args) -> int:
     elapsed = time.monotonic() - started
     if not args.quiet:  # the source version goes to stdout only, so the outputs depend on the config alone
         print(f"wrote {csv_path} and {json_path} (wall time {elapsed:.2f}s, source {git_describe()})")
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------- output
@@ -448,16 +444,15 @@ def write_json_mirror(path, meta: dict, records: list[dict]) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (ValueError, configparser.Error) as exc:
+        if args.out is not None and not os.path.isdir(folder := os.path.dirname(args.out) or "."):
+            raise FileNotFoundError(f"output directory {folder!r} does not exist")
+        args.func(args)
+    except (ValueError, configparser.Error, OSError, _NotConverged) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+        return EXIT_RUNTIME if isinstance(exc, (OSError, _NotConverged)) else EXIT_USAGE
+    return EXIT_OK
 
 
 if __name__ == "__main__":

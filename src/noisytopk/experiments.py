@@ -75,7 +75,9 @@ def derive_seed(seed_root: int, *parts: int) -> int:
     x_0 = mix(root), x_{j+1} = mix(x_j XOR mix(part_j + 1)).  Distinct
     index tuples give independent-behaving streams for practical purposes.
     """
-    x = _mix64(seed_root & _MASK64)
+    if not 0 <= seed_root <= _MASK64:  # masking would give -1 the stream of 2**64 - 1
+        raise ValueError(f"seed root must lie in 0..2**64-1, got {seed_root}")
+    x = _mix64(seed_root)
     for p in parts:
         if p < 0:
             raise ValueError(f"seed parts must be non-negative, got {p}")
@@ -125,6 +127,7 @@ class ExperimentConfig:
     def __post_init__(self):
         # the model's keys besides n, checked and parsed once, before any graph is drawn
         self._graph_values = _model_values(self.model, {k: v for k, v in self.model_params.items() if k != "n"})
+        derive_seed(self.seed_root)  # a root out of range fails here, not in the first worker
         if self.k < 1:
             raise ValueError(f"k must be positive, got {self.k}")
         if self.graphs_per_point < 1 or self.noise_draws_per_graph < 1:
@@ -461,6 +464,7 @@ def run_figure1_profile(
         raise ValueError(f"need 2 <= mean_degree < n, got mean_degree={mean_degree}, n={n}")
     if pa_m is None:
         pa_m = max(1, int(round(mean_degree / 2)))
+    PaParams(n=n, m=pa_m, b=pa_b)  # fail before the ER and SW graphs are drawn, not at the third graph
     models = {  # the MODELS keys of each graph
         "er": {"p": mean_degree / (n - 1)},
         "sw": {"k_ring": 2 * (mean_degree // 2), "rewire_p": rewire_p},

@@ -1,7 +1,9 @@
 import argparse
+import ast
 import configparser
 import csv
 import importlib.util
+import inspect
 import itertools
 import json
 import math
@@ -10,6 +12,7 @@ import string
 import struct
 import subprocess
 import sys
+import textwrap
 from dataclasses import asdict
 from pathlib import Path
 
@@ -24,6 +27,7 @@ from noisytopk import (
     SummaryRow,
     __version__,
     cli,
+    experiments,
     run_localization,
     run_topk_experiment,
 )
@@ -317,7 +321,9 @@ class TestGenerate:
 
     def test_negative_seed_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "g.txt"
-        assert main(["generate", "er", "--n", "10", "--p", "0.3", "--seed", "-1", "--out", str(out)]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", "er", "--n", "10", "--p", "0.3", "--seed", "-1", "--out", str(out)])
+        assert exc.value.code == 2
         assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
         assert not out.exists()
 
@@ -563,6 +569,102 @@ def test_quiet_perturb_writes_the_same_graph(tmp_path, capsys):
                      *quiet]) == 0
     assert capsys.readouterr().out.count("\n") == 1  # the progress line of the loud run alone
     assert (tmp_path / "loud.txt").read_bytes() == (tmp_path / "quiet.txt").read_bytes()
+
+
+# runs of every subcommand, before --out; {d} is a directory that holds the edge list g.txt and the config cfg.ini
+CONTRACT_RUNS = {
+    "generate": ["generate", "er", "--n", "30", "--p", "0.3", "--seed", "2"],
+    "perturb": ["perturb", "--in", "{d}/g.txt", "--alpha", "0.1", "--beta", "0.1", "--seed", "2"],
+    "centrality-csv": ["centrality", "--in", "{d}/g.txt", "--k", "3", "--seed", "2"],
+    "centrality-json": ["centrality", "--in", "{d}/g.txt", "--kind", "eigenvector", "--k", "3", "--format", "json"],
+    "bounds": ["bounds", "--in", "{d}/g.txt", "--k", "3", "--alpha", "0.05", "--beta", "0.05"],
+    "experiment": ["experiment", "{d}/cfg.ini"],
+}
+CONTRACT_CONFIG = ("[run]\ntype = topk\n[model]\nkind = er\nn = 20\np = 0.3\n[noise]\nalpha_grid = 0.05\n"
+                   "beta_grid = 0.05\n[mc]\nk = 3\ngraphs = 2\ndraws = 2\n")
+
+
+class TestContract:
+    """What main decides for every subcommand: exit codes, what --quiet hides and which checks come first."""
+
+    @pytest.fixture
+    def inputs(self, tmp_path):
+        _write_graph(tmp_path)
+        (tmp_path / "cfg.ini").write_text(CONTRACT_CONFIG)
+        return tmp_path
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """The names of the input readers, generators and solvers that a run calls."""
+        calls = []
+        for name in ("load_edge_list", "make_graph", "_read_config", "run_topk_experiment", "spectral_top2"):
+            def spy(*args, _name=name, _real=getattr(cli, name), **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(cli, name, spy)
+        return calls
+
+    @staticmethod
+    def _argv(run, d, *extra):
+        return [arg.format(d=d) for arg in CONTRACT_RUNS[run]] + list(extra)
+
+    def test_runs_cover_every_subcommand(self):
+        assert {argv[0] for argv in CONTRACT_RUNS.values()} == set(TestOptionSurface._subcommands())
+
+    @pytest.mark.parametrize("run", sorted(CONTRACT_RUNS))
+    def test_quiet_hides_the_wrote_line_alone(self, inputs, capsys, run):
+        stdout = {}
+        for mode in ("loud", "quiet"):
+            (inputs / mode).mkdir()
+            capsys.readouterr()
+            assert main(self._argv(run, inputs, "--out", str(inputs / mode / "out"),
+                                   *(["--quiet"] if mode == "quiet" else []))) == 0
+            stdout[mode] = capsys.readouterr().out.splitlines()
+        wrote = [line for line in stdout["loud"] if line.startswith("wrote ")]
+        assert len(wrote) == 1 and str(inputs / "loud" / "out") in wrote[0]
+        assert [line for line in stdout["loud"] if line not in wrote] == stdout["quiet"]
+        loud, quiet = (sorted(p.name for p in (inputs / mode).iterdir()) for mode in ("loud", "quiet"))
+        assert loud == quiet and loud
+        for name in loud:
+            assert (inputs / "loud" / name).read_bytes() == (inputs / "quiet" / name).read_bytes()
+
+    @pytest.mark.parametrize("kind", ["degree", "eigenvector", "both"])
+    def test_quiet_centrality_prints_its_report(self, inputs, capsys, kind):
+        argv = ["centrality", "--in", str(inputs / "g.txt"), "--kind", kind, "--k", "3"]
+        assert main(argv) == 0
+        loud = capsys.readouterr().out
+        assert main([*argv, "--quiet"]) == 0
+        assert capsys.readouterr().out == loud
+        assert loud.count("topk_") == (2 if kind == "both" else 1)
+
+    @pytest.mark.parametrize("run", sorted(CONTRACT_RUNS))
+    def test_missing_output_directory_exits_3_before_any_work(self, inputs, capsys, calls, run):
+        missing = inputs / "missing"
+        assert main(self._argv(run, inputs, "--out", str(missing / "out"), "--quiet")) == 3
+        assert capsys.readouterr().err == f"error: output directory {str(missing)!r} does not exist\n"
+        assert calls == [] and not missing.exists()
+
+    @pytest.mark.parametrize("command", sorted(
+        name for name, sub in TestOptionSurface._subcommands().items()
+        if "--seed" in {opt for action in sub._actions for opt in action.option_strings}
+    ))
+    @pytest.mark.parametrize("seed", ["-1", "1.5"])
+    def test_bad_seed_is_a_parse_error(self, tmp_path, capsys, calls, command, seed):
+        run = next(run for run, argv in CONTRACT_RUNS.items() if argv[0] == command)
+        argv = self._argv(run, tmp_path / "absent", "--seed", seed, "--out", str(tmp_path / "out"))
+        with pytest.raises(SystemExit) as exc:
+            main(argv)  # the input does not exist, so a read would exit 3
+        assert exc.value.code == 2
+        assert f"argument --seed: seed must be a non-negative integer, got {seed}\n" in capsys.readouterr().err
+        assert calls == [] and not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", sorted(TestOptionSurface._subcommands()))
+    def test_subcommand_returns_nothing(self, command):
+        func = TestOptionSurface._subcommands()[command].get_default("func")
+        tree = ast.parse(textwrap.dedent(inspect.getsource(func)))
+        assert func.__name__ == f"cmd_{command}"
+        assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Return) and node.value] == []
 
 
 class TestExperiment:
@@ -943,6 +1045,17 @@ class TestConfigKeys:
         assert str(path) in err and f"[{section}]" in err and key in err
         assert not base.with_suffix(".csv").exists()
         assert not base.with_suffix(".json").exists()
+
+    @pytest.mark.parametrize("name", ["smoke_zero_noise.ini", "localization_pa.ini", "figure1.ini"])
+    @pytest.mark.parametrize("root", ["-1", str(2**64)])
+    def test_seed_root_outside_64_bits_names_the_file(self, tmp_path, capsys, monkeypatch, name, root):
+        draws = []
+        for gen in ("generate_er", "generate_pa", "generate_small_world"):
+            monkeypatch.setattr(experiments, gen, lambda *args, _gen=gen, **kwargs: draws.append(_gen))
+        path = _edited_config(tmp_path, name, [("mc", "seed_root", root)])
+        assert main(["experiment", str(path), "--out", str(tmp_path / "res")]) == 2
+        assert f"error: {path}: seed root must lie in 0..2**64-1, got {root}" in capsys.readouterr().err
+        assert draws == [] and list(tmp_path.iterdir()) == [path]
 
     def test_study_error_names_the_file(self, tmp_path, capsys):
         # k = n passes the key table; the study itself rejects it

@@ -55,6 +55,12 @@ class TestDeriveSeed:
         with pytest.raises(ValueError):
             derive_seed(7, -1)
 
+    @pytest.mark.parametrize("root", [-1, 2**64, -(2**64) - 1])
+    def test_root_outside_64_bits_rejected(self, root):
+        # masking to 64 bits would give -1 the streams of 2**64 - 1
+        with pytest.raises(ValueError, match=f"seed root must lie in 0..2\\*\\*64-1, got {root}"):
+            derive_seed(root, 5, 9)
+
     def test_no_collisions_over_small_grid(self):
         seeds = {
             derive_seed(3, a, b, c)
@@ -122,6 +128,11 @@ class TestExperimentConfig:
     def test_n_grid_needs_schedules(self):
         with pytest.raises(ValueError):
             _base_cfg(alpha=None)
+
+    @pytest.mark.parametrize("root", [-1, 2**64])
+    def test_seed_root_outside_64_bits_rejected(self, root):
+        with pytest.raises(ValueError, match="seed root"):
+            _base_cfg(seed_root=root)
 
     def test_noise_grid_needs_n(self):
         with pytest.raises(ValueError):
@@ -644,6 +655,20 @@ class TestRunFigure1Profile:
         # a mean degree of 1 leaves small world no ring; the error names the figure1 key
         with pytest.raises(ValueError, match="mean_degree=1"):
             run_figure1_profile(n=50, mean_degree=1, noise=NoiseParams(0.0, 0.0), seed=1)
+
+    @pytest.mark.parametrize("pa, message", [({"pa_m": 0}, "m must be a positive integer"),
+                                             ({"pa_b": -3.0}, "attachment offset")])
+    def test_pa_values_fail_before_any_graph(self, monkeypatch, pa, message):
+        calls = []
+        for name in ("generate_er", "generate_pa", "generate_small_world"):
+            def spy(*args, _name=name, _real=getattr(experiments, name), **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(experiments, name, spy)
+        with pytest.raises(ValueError, match=message):
+            run_figure1_profile(n=60, mean_degree=8, noise=NoiseParams(0.05, 0.05), seed=2, **pa)
+        assert calls == []
 
 
 class TestSummarySchema:
