@@ -73,7 +73,10 @@ def _positive_int(text: str) -> int:
 
 
 def _nonnegative_float(text: str) -> float:
-    value = float(text)
+    try:
+        value = float(text)
+    except ValueError:  # not a number: rejected below, in the same words as a negative one
+        value = math.nan
     if not value >= 0:  # also rejects nan
         raise argparse.ArgumentTypeError(f"expected a nonnegative number, got {text!r}")
     return value

@@ -465,6 +465,8 @@ def run_figure1_profile(
     if pa_m is None:
         pa_m = max(1, int(round(mean_degree / 2)))
     PaParams(n=n, m=pa_m, b=pa_b)  # fail before the ER and SW graphs are drawn, not at the third graph
+    if not 0.0 <= rewire_p <= 1.0:  # nor at the second
+        raise ValueError(f"rewiring probability must lie in [0, 1], got {rewire_p}")
     models = {  # the MODELS keys of each graph
         "er": {"p": mean_degree / (n - 1)},
         "sw": {"k_ring": 2 * (mean_degree // 2), "rewire_p": rewire_p},

@@ -2,7 +2,8 @@
 
 The dense eigensolver, the dense per-pair noise sampler, the skip sampler
 on numpy's geometric, the cumulative-sum preferential attachment loop, the
-exact noise enumeration and its statistics, the pair-index decoder, the
+one-uniform-at-a-time preferential attachment loop for m >= 2, the exact
+noise enumeration and its statistics, the pair-index decoder, the
 COO adjacency build, the rank-by-rank i_star scan, the set-based top-k
 Jaccard and the quadrature normal CDF are independent reference
 implementations; library code must match them, never the other way around.
@@ -11,6 +12,7 @@ implementations; library code must match them, never the other way around.
 from __future__ import annotations
 
 import math
+from itertools import chain, repeat
 from typing import Iterator
 
 import numpy as np
@@ -140,7 +142,8 @@ def dense_pa(params: PaParams, seed: int) -> Graph:
     generate_pa and takes the first node whose cumulative weight exceeds
     u * total, rejecting repeats within a step.  That is generate_pa's stream
     for m = 1, which it is the oracle for; for m >= 2 it is stream version 2,
-    which generate_pa left for the list of earlier targets in version 3.
+    which generate_pa left for the list of earlier targets in version 3
+    (scalar_pa is the oracle for m >= 2).
     This costs O(n**2), so it only checks the library's sampler on small and
     medium n.
     """
@@ -163,6 +166,33 @@ def dense_pa(params: PaParams, seed: int) -> Graph:
         src.append(targets)
         dst.append(np.full(m, t, dtype=np.int64))
     return Graph(n, np.column_stack([np.concatenate(src), np.concatenate(dst)]))
+
+
+def scalar_pa(params: PaParams, seed: int) -> Graph:
+    """Reference preferential attachment for m >= 2: stream version 3 drawn one uniform at a time.
+
+    A node's weight deg + b is the m + b it arrived with plus its picks so far, so a
+    uniform over the total weight falls on the list of earlier picks, and takes the
+    pick at that position, or on a node below t, each weighing m + b; a repeat within
+    a step draws again.  This is the plain loop that generate_pa's blocks must match
+    bit for bit, at O(1) Python work per draw.
+    """
+    n, m, b = params.n, params.m, params.b
+    rng = _stream_rng(seed, "pa")
+    draws = chain.from_iterable(rng.random(min((n - m - 1) * m, 4096)).tolist() for _ in repeat(None))
+    targets: list[int] = []
+    base = m + b
+    for t in range(m + 1, n):
+        total = (size := len(targets)) + base * t
+        chosen: list[int] = []
+        while len(chosen) < m:  # rejecting repeats samples without replacement
+            x = next(draws) * total
+            j = targets[int(x)] if x < size else min(int((x - size) / base), t - 1)  # min: rounding at the top
+            if j not in chosen:
+                chosen.append(j)
+        targets += chosen
+    rest = np.column_stack([np.array(targets, dtype=np.int64), np.repeat(np.arange(m + 1, n), m)])
+    return Graph(n, np.concatenate([np.column_stack(np.triu_indices(m + 1, k=1)), rest]))
 
 
 def expected_hamming_given_outcome(noisy_degrees, true_set: frozenset, k: int) -> float:

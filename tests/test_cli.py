@@ -166,6 +166,17 @@ class TestOptionSurface:
         assert exc.value.code == 2
         assert not (tmp_path / "g.txt").exists()
 
+    # a solver value that is not a number names the value expected, not the private function that parses it
+    @pytest.mark.parametrize(
+        "flag, expected", [("--tol", "a nonnegative number"), ("--max-iter", "a positive integer")]
+    )
+    def test_unparsable_solver_value_names_the_expected_value(self, tmp_path, capsys, flag, expected):
+        src = _write_graph(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["centrality", "--in", str(src), flag, "x"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(f"argument {flag}: expected {expected}, got 'x'\n")
+
     # centrality registers --seed, --tol and --max-iter for the runs that use them; any other run refuses them
     @pytest.mark.parametrize(
         "flags, unused",

@@ -656,9 +656,9 @@ class TestRunFigure1Profile:
         with pytest.raises(ValueError, match="mean_degree=1"):
             run_figure1_profile(n=50, mean_degree=1, noise=NoiseParams(0.0, 0.0), seed=1)
 
-    @pytest.mark.parametrize("pa, message", [({"pa_m": 0}, "m must be a positive integer"),
-                                             ({"pa_b": -3.0}, "attachment offset")])
-    def test_pa_values_fail_before_any_graph(self, monkeypatch, pa, message):
+    @pytest.fixture
+    def generator_calls(self, monkeypatch):
+        """The names of the graph generators called, in order, through spies on the three of them."""
         calls = []
         for name in ("generate_er", "generate_pa", "generate_small_world"):
             def spy(*args, _name=name, _real=getattr(experiments, name), **kwargs):
@@ -666,9 +666,20 @@ class TestRunFigure1Profile:
                 return _real(*args, **kwargs)
 
             monkeypatch.setattr(experiments, name, spy)
+        return calls
+
+    @pytest.mark.parametrize("pa, message", [({"pa_m": 0}, "m must be a positive integer"),
+                                             ({"pa_b": -3.0}, "attachment offset")])
+    def test_pa_values_fail_before_any_graph(self, generator_calls, pa, message):
         with pytest.raises(ValueError, match=message):
             run_figure1_profile(n=60, mean_degree=8, noise=NoiseParams(0.05, 0.05), seed=2, **pa)
-        assert calls == []
+        assert generator_calls == []
+
+    @pytest.mark.parametrize("rewire_p", [1.5, -0.1, math.nan])
+    def test_sw_rewiring_fails_before_any_graph(self, generator_calls, rewire_p):
+        with pytest.raises(ValueError, match="rewiring probability must lie in"):
+            run_figure1_profile(n=60, mean_degree=8, noise=NoiseParams(0.05, 0.05), seed=2, rewire_p=rewire_p)
+        assert generator_calls == []
 
 
 class TestSummarySchema:
